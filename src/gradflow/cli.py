@@ -36,7 +36,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
     run_p.add_argument("--workers", type=int, default=None,
-                       help="override the config worker count (outputs unchanged)")
+                       help="override the config worker count (accepted; runs are "
+                            "single-threaded and outputs unchanged)")
     run_p.add_argument("--out-root", default=None,
                        help="root for relative artifact paths "
                             "(default: $GRADFLOW_OUT or the working directory)")

@@ -8,6 +8,8 @@ canonical form that reparses to an equal config.
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass, field as dc_field
 from typing import List, Optional
 
@@ -87,19 +89,44 @@ class ExperimentConfig:
         return "grid"
 
     def n_steps(self) -> int:
-        if self.steps is not None:
-            return self.steps
-        return max(0, int(round(self.time / self.tau)))
+        return _step_count(self.steps, self.time, self.tau)
+
+
+def _step_count(steps, time, tau) -> int:
+    if steps is not None:
+        return steps
+    return max(0, int(round(time / tau)))
 
 
 # --- node-level helpers ------------------------------------------------------
+
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that also reads YAML 1.2 floats such as ``1e-3``, which
+    the YAML 1.1 resolver leaves as strings because they have no dot."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."))
+
 
 def _line(node) -> int:
     return node.start_mark.line + 1
 
 
 def _construct(node):
-    return yaml.SafeLoader("").construct_object(node, deep=True)
+    return _Loader("").construct_object(node, deep=True)
+
+
+def _is_number(v) -> bool:
+    """An int or float (not a bool) with a finite float value."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def _mapping_items(node, errors, where: str):
@@ -148,8 +175,7 @@ class _Field:
                 if not exclusive and not v >= minimum:
                     return f"must be >= {minimum}"
             return None
-        val, _ = self._value(key, lambda v: isinstance(v, (int, float))
-                             and not isinstance(v, bool), check, "a number")
+        val, _ = self._value(key, _is_number, check, "a finite number")
         return None if val is None else float(val)
 
     def integer(self, key, minimum=None):
@@ -175,10 +201,9 @@ class _Field:
 
 def _float_list(node, errors, where):
     val = _construct(node)
-    if (isinstance(val, list) and val
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in val)):
+    if isinstance(val, list) and val and all(_is_number(v) for v in val):
         return [float(v) for v in val]
-    errors.append(f"line {_line(node)}: {where} must be a nonempty list of numbers")
+    errors.append(f"line {_line(node)}: {where} must be a nonempty list of finite numbers")
     return None
 
 
@@ -186,7 +211,7 @@ def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate; raises ConfigError listing every violation."""
     errors: List[str] = []
     try:
-        root = yaml.compose(text, Loader=yaml.SafeLoader)
+        root = yaml.compose(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigError([f"yaml: {exc}"])
     if root is None:
@@ -232,7 +257,7 @@ def parse_config(text: str) -> ExperimentConfig:
         bw = _construct(bw_node)
         if bw == "auto":
             bandwidth = "auto"
-        elif isinstance(bw, (int, float)) and not isinstance(bw, bool) and bw > 0:
+        elif _is_number(bw) and bw > 0:
             bandwidth = float(bw)
         else:
             errors.append(f"line {_line(bw_node)}: bandwidth must be 'auto' or a positive number")
@@ -308,6 +333,10 @@ def parse_config(text: str) -> ExperimentConfig:
                                        for a in assertions)
         if family == "stochastic" and needs_grid and grid_node is None:
             errors.append("line 1: histogram/metrics outputs require key 'grid'")
+        if (family == "stochastic" and step_size is not None
+                and (steps is not None or time is not None)):
+            errors.extend(_sampler_time_errors(
+                outputs, assertions, step_size, _step_count(steps, time, step_size)))
 
     if errors:
         raise ConfigError(errors)
@@ -322,6 +351,20 @@ def parse_config(text: str) -> ExperimentConfig:
         manifest=manifest if manifest is not None else "manifest.json")
 
 
+def _sampler_time_errors(outputs, assertions, tau, n_steps):
+    """A sampler records whole steps, so each output or assertion time must
+    be a multiple of tau (to a relative 1e-9) within the run's horizon."""
+    times = [t for spec in outputs for t in spec.times or []]
+    times += [a.params["time"] for a in assertions if a.check == "metric_max"]
+    errors = []
+    for t in times:
+        k = t / tau
+        if abs(k - round(k)) > 1e-9 * max(1.0, abs(k)) or not 0 <= round(k) <= n_steps:
+            errors.append(f"line 1: time {t:g} must be a whole number of "
+                          f"tau={tau:g} steps in 0..{n_steps * tau:g}")
+    return errors
+
+
 def _parse_init(node, errors):
     """Initial condition: a point / list of points, or a mapping.
 
@@ -330,14 +373,13 @@ def _parse_init(node, errors):
     """
     if isinstance(node, yaml.SequenceNode):
         val = _construct(node)
-        if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in val) and val:
+        if all(_is_number(v) for v in val) and val:
             return [float(v) for v in val]
-        if val and all(isinstance(v, list) and v
-                       and all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                               for x in v) for v in val):
+        if val and all(isinstance(v, list) and v and all(_is_number(x) for x in v)
+                       for v in val):
             return [[float(x) for x in v] for v in val]
-        errors.append(f"line {_line(node)}: init list must hold numbers or "
-                      "lists of numbers")
+        errors.append(f"line {_line(node)}: init list must hold finite numbers or "
+                      "lists of them")
         return None
     if isinstance(node, yaml.MappingNode):
         sub = _mapping_items(node, errors, "init")
@@ -354,7 +396,7 @@ def _parse_init(node, errors):
                 errors.append(f"line {_line(node)}: gaussian init needs 'mean'")
                 return None
             mean_val = _construct(mean_node)
-            if isinstance(mean_val, (int, float)) and not isinstance(mean_val, bool):
+            if _is_number(mean_val):
                 mean = [float(mean_val)]
             else:
                 mean = _float_list(mean_node, errors, "mean")

@@ -1,9 +1,11 @@
 """Experiment execution: wire a config to potentials, methods, and artifacts.
 
 One process runs one experiment.  All randomness flows through the seeded
-counter-based stream, so rerunning a config (at any worker count)
-reproduces every data artifact byte for byte; only the manifest's wall
-time differs.
+counter-based stream, so rerunning a config reproduces every data
+artifact byte for byte; only the manifest's wall time differs.  Runs are
+single-threaded, and the configured worker count never changes a byte.
+A sampler config is one ``run_sampler`` call that records the states at
+every output time, which validation has made whole steps.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .optimize import (PreconditionerField, bfgs_stepper, gradient_stepper,
                        verify_rates)
 from .potentials import from_identifier
 from .rng import RngStream
-from .sample import ChainStats, Ensemble, SampleRun, run_sampler
+from .sample import Ensemble, SampleRun, run_sampler
 
 __all__ = ["run_experiment", "compare_files", "AssertionFailure"]
 
@@ -191,30 +193,12 @@ def _run_stochastic(cfg, potential, out_root, artifacts):
 
     want_samples = any(spec.kind == "samples" for spec in cfg.outputs)
     record = {0, n_steps}
-    record.update(min(n_steps, int(round(t / tau))) for t in requested)
+    record.update(int(round(t / tau)) for t in requested)
     if want_samples:
         record.update(range(0, n_steps + 1, cfg.thin))
-    record_steps = sorted(record)
-
-    states = {0: ensemble.particles.copy()}
-    n_moves = n_accepted = 0
-    for prev, nxt in zip(record_steps[:-1], record_steps[1:]):
-        span = nxt - prev
-        run = run_sampler(cfg.method, potential, ensemble, tau, span, thin=span,
-                          workers=cfg.workers, ridge=cfg.ridge,
-                          bandwidth=cfg.bandwidth)
-        ensemble = Ensemble(particles=run.final, rng=ensemble.rng, step=nxt)
-        states[nxt] = run.final.copy()
-        n_moves += run.stats.n_moves
-        n_accepted += run.stats.n_accepted
-
-    pooled = (np.concatenate([states[k] for k in record_steps[1:]])
-              if len(record_steps) > 1 else states[0])
-    stats = ChainStats(
-        n_steps=n_steps, n_moves=n_moves, n_accepted=n_accepted,
-        mean=pooled.mean(axis=0),
-        cov=np.atleast_2d(np.cov(pooled.T)) if pooled.shape[0] > 1
-        else np.zeros((ensemble.dim, ensemble.dim)))
+    run = run_sampler(cfg.method, potential, ensemble, tau, n_steps, record=record,
+                      workers=cfg.workers, ridge=cfg.ridge, bandwidth=cfg.bandwidth)
+    states = dict(zip(run.steps.tolist(), run.states))
 
     grid = _grid_from_cfg(cfg) if cfg.grid else None
     metrics_rows = []
@@ -223,24 +207,20 @@ def _run_stochastic(cfg, potential, out_root, artifacts):
         solver = FokkerPlanckSolver1D(potential, grid)
         target = solver.target()
         for t in metric_times:
-            k = min(n_steps, int(round(t / tau)))
-            hist = histogram(states[k][:, 0], grid)
+            hist = histogram(states[int(round(t / tau))][:, 0], grid)
             metrics_rows.extend(_metric_rows(t, hist, target))
 
     for spec in cfg.outputs:
         if spec.kind == "samples":
-            keep = [k for k in record_steps if k % cfg.thin == 0 or k == n_steps]
-            run = SampleRun(times=np.array([k * tau for k in keep]),
-                            steps=np.array(keep, dtype=int),
-                            states=np.stack([states[k] for k in keep]),
-                            stats=stats)
+            keep = (run.steps % cfg.thin == 0) | (run.steps == n_steps)
+            thinned = SampleRun(times=run.times[keep], steps=run.steps[keep],
+                                states=run.states[keep], stats=run.stats)
             path = _ensure_dir(_resolve(spec.path, out_root))
-            write_samples_csv(path, run)
+            write_samples_csv(path, thinned)
             artifacts.append(path)
         elif spec.kind == "histogram":
             for t in spec.times or [n_steps * tau]:
-                k = min(n_steps, int(round(t / tau)))
-                hist = histogram(states[k][:, 0], grid)
+                hist = histogram(states[int(round(t / tau))][:, 0], grid)
                 path = _timed_path(spec.path, t, spec.times, out_root)
                 write_density_csv(path, hist)
                 artifacts.append(path)
@@ -250,7 +230,7 @@ def _run_stochastic(cfg, potential, out_root, artifacts):
             artifacts.append(path)
         elif spec.kind == "stats":
             path = _ensure_dir(_resolve(spec.path, out_root))
-            write_chain_stats(path, stats)
+            write_chain_stats(path, run.stats)
             artifacts.append(path)
     return metrics_rows
 

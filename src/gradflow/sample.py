@@ -1,8 +1,8 @@
 """Stochastic samplers on a deterministic randomness contract.
 
 All methods draw from counter-based substreams addressed by (seed,
-particle, step), so runs are reproducible bit for bit whatever the worker
-count.  Per-step draw layout, in uniform columns:
+particle, step), so runs are reproducible bit for bit.  Per-step draw
+layout, in uniform columns:
 
 * ula / ensemble: dim Gaussian coordinates
 * mala:           dim Gaussian coordinates + 1 acceptance uniform
@@ -10,11 +10,14 @@ count.  Per-step draw layout, in uniform columns:
                   + replacement-partner uniform
 
 Ensemble initialization uses context 1 of the stream, dynamics context 0.
+Each method is one transition ``step(x, k) -> (x, n_accepted)`` from the
+particles ``x`` with the draws of stream step ``k``; ``run_sampler`` is a
+single loop over it.  Runs are single-threaded: the worker count is
+accepted and never changes the output.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -120,11 +123,13 @@ def ula_step(p: Potential, theta, tau: float, noise) -> np.ndarray:
     return th - tau * p.grad(th) + np.sqrt(2.0 * tau) * np.asarray(noise, dtype=float)
 
 
-def _log_proposal(p: Potential, x, x_new, tau: float):
-    # Gaussian ULA proposal density, up to the constant that cancels in ratios
-    mean = x - tau * p.grad(x)
-    diff = np.asarray(x_new, dtype=float) - mean
-    return -np.sum(diff * diff, axis=-1) / (4.0 * tau)
+def _mala_log_ratio(x, v_x, g_x, y, v_y, g_y, tau: float):
+    """Log Metropolis-Hastings ratio for the ULA proposal x -> y, batched
+    over leading axes: V(x) - V(y) + log q(y -> x) - log q(x -> y), the
+    Gaussian proposal densities up to the constant that cancels."""
+    fwd = -np.sum((y - x + tau * g_x) ** 2, axis=-1) / (4 * tau)
+    bwd = -np.sum((x - y + tau * g_y) ** 2, axis=-1) / (4 * tau)
+    return v_x - v_y + bwd - fwd
 
 
 def mala_acceptance(p: Potential, theta, theta_star, tau: float) -> float:
@@ -138,9 +143,8 @@ def mala_acceptance(p: Potential, theta, theta_star, tau: float) -> float:
         raise ValueError("tau must be positive")
     th = np.asarray(theta, dtype=float)
     st = np.asarray(theta_star, dtype=float)
-    log_ratio = (float(p.value(th)) - float(p.value(st))
-                 + float(_log_proposal(p, st, th, tau))
-                 - float(_log_proposal(p, th, st, tau)))
+    log_ratio = float(_mala_log_ratio(th, float(p.value(th)), p.grad(th),
+                                      st, float(p.value(st)), p.grad(st), tau))
     if np.isnan(log_ratio):
         return 0.0
     return float(np.exp(min(0.0, log_ratio)))
@@ -180,8 +184,7 @@ def _spectral_roots(matrix: np.ndarray):
 
 
 def ensemble_langevin_step(p: Potential, e: Ensemble, tau: float,
-                           ridge: Optional[float] = None,
-                           workers: int = 1) -> Ensemble:
+                           ridge: Optional[float] = None) -> Ensemble:
     """Interacting step preconditioned by the ensemble covariance.
 
     Every particle moves with mobility M = cov + ridge I shared across the
@@ -199,7 +202,7 @@ def ensemble_langevin_step(p: Potential, e: Ensemble, tau: float,
         raise ValueError("ridge must be nonnegative")
     mobility = cov + ridge * np.eye(e.dim)
     sqrt_m = _spectral_roots(mobility)
-    noise = _noise_matrix(e.rng, e.step, e.size, e.dim, workers)
+    noise = e.rng.normal_rows(e.step, 0, e.size, e.dim)
     grads = p.grad(e.particles)
     new = e.particles - tau * grads @ mobility + np.sqrt(2.0 * tau) * noise @ sqrt_m
     return Ensemble(particles=new, rng=e.rng, step=e.step + 1)
@@ -236,8 +239,7 @@ def _ensemble_log_kde(particles: np.ndarray, bandwidth) -> np.ndarray:
 
 
 def bdl_step(p: Potential, e: Ensemble, tau: float, bandwidth="auto",
-             log_density_fn: Optional[Callable] = None,
-             workers: int = 1) -> Ensemble:
+             log_density_fn: Optional[Callable] = None) -> Ensemble:
     """Langevin substep followed by a birth-death exchange.
 
     Rates r_i = log rho_hat(theta_i) + V(theta_i) are centered by their
@@ -255,7 +257,7 @@ def bdl_step(p: Potential, e: Ensemble, tau: float, bandwidth="auto",
     if e.size < 2:
         raise ValueError("birth-death needs at least 2 particles")
     width = e.dim + 2
-    rows = _uniform_matrix(e.rng, e.step, e.size, width, workers)
+    rows = e.rng.uniform_rows(e.step, 0, e.size, width)
     noise = ndtri(rows[:, :e.dim])
     u_decide = rows[:, e.dim]
     u_partner = rows[:, e.dim + 1]
@@ -286,30 +288,48 @@ def bdl_step(p: Potential, e: Ensemble, tau: float, bandwidth="auto",
     return Ensemble(particles=particles, rng=e.rng, step=e.step + 1)
 
 
-# --- vectorized driver -------------------------------------------------------
+# --- driver -------------------------------------------------------------------
 
-def _chunk_bounds(j: int, workers: int):
-    workers = max(1, min(workers, j))
-    size = (j + workers - 1) // workers
-    return [(lo, min(j, lo + size)) for lo in range(0, j, size)]
+def _mala_kernel(p: Potential, rng: RngStream, tau: float, x: np.ndarray):
+    """Batched MALA transition that caches V and grad V at the current
+    particles, so each step evaluates the potential at the proposals only."""
+    energy = np.asarray(p.value(x), dtype=float)
+    grads = p.grad(x)
+
+    def step(x, k):
+        nonlocal energy, grads
+        j, dim = x.shape
+        rows = rng.uniform_rows(k, 0, j, dim + 1)
+        proposal = x - tau * grads + np.sqrt(2.0 * tau) * ndtri(rows[:, :dim])
+        prop_energy = np.asarray(p.value(proposal), dtype=float)
+        prop_grads = p.grad(proposal)
+        log_a = _mala_log_ratio(x, energy, grads, proposal, prop_energy, prop_grads, tau)
+        accept = rows[:, dim] < np.exp(np.minimum(0.0, log_a))
+        energy = np.where(accept, prop_energy, energy)
+        grads = np.where(accept[:, None], prop_grads, grads)
+        return np.where(accept[:, None], proposal, x), int(accept.sum())
+
+    return step
 
 
-def _uniform_matrix(rng: RngStream, step: int, j: int, width: int,
-                    workers: int) -> np.ndarray:
-    """Per-step uniforms, generated chunk by chunk; values do not depend on
-    the chunking because every row is addressed by its particle index."""
-    if workers <= 1:
-        return rng.uniform_rows(step, 0, j, width)
-    bounds = _chunk_bounds(j, workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(
-            lambda ab: rng.uniform_rows(step, ab[0], ab[1], width), bounds))
-    return np.concatenate(parts, axis=0)
-
-
-def _noise_matrix(rng: RngStream, step: int, j: int, dim: int,
-                  workers: int) -> np.ndarray:
-    return ndtri(_uniform_matrix(rng, step, j, dim, workers))
+def _transition(method: str, p: Potential, rng: RngStream, tau: float,
+                x: np.ndarray, ridge, bandwidth):
+    """The method as one transition step(x, k) -> (x, n_accepted), where x
+    holds the particles and k is the stream step of the draws."""
+    if method == "ula":
+        def step(x, k):
+            return ula_step(p, x, tau, rng.normal_rows(k, 0, len(x), p.dim)), len(x)
+    elif method == "ensemble":
+        def step(x, k):
+            e = Ensemble(particles=x, rng=rng, step=k)
+            return ensemble_langevin_step(p, e, tau, ridge=ridge).particles, len(x)
+    elif method == "bdl":
+        def step(x, k):
+            e = Ensemble(particles=x, rng=rng, step=k)
+            return bdl_step(p, e, tau, bandwidth=bandwidth).particles, len(x)
+    else:
+        step = _mala_kernel(p, rng, tau, x)
+    return step
 
 
 def _check_finite(particles: np.ndarray, step: int):
@@ -321,12 +341,18 @@ def _check_finite(particles: np.ndarray, step: int):
 def run_sampler(method: str, p: Potential, init: Union[Ensemble, np.ndarray],
                 tau: float, n_steps: int, thin: int = 1,
                 rng: Optional[RngStream] = None, workers: int = 1,
-                ridge: Optional[float] = None, bandwidth="auto") -> SampleRun:
+                ridge: Optional[float] = None, bandwidth="auto",
+                record=None) -> SampleRun:
     """Run a sampler for n_steps, recording every thin-th state.
 
-    ``init`` is an Ensemble, or a single point combined with ``rng`` (run
-    as one chain).  Output is deterministic given the stream seed; a
-    non-finite state aborts with the offending step and particle.
+    ``record``, when given, replaces ``thin``: the step counts in
+    0..n_steps after which the state is recorded.  The initial state is
+    always recorded first, and the pooled moments in ``stats`` cover the
+    recorded states after it.  ``init`` is an Ensemble, or a single point
+    combined with ``rng`` (run as one chain).  Output is deterministic
+    given the stream seed; a non-finite state aborts with the offending
+    step and particle.  ``workers`` is accepted and has no effect: runs
+    are single-threaded.
     """
     if method not in ("ula", "mala", "ensemble", "bdl"):
         raise ValueError(f"unknown sampler method {method!r}")
@@ -336,6 +362,9 @@ def run_sampler(method: str, p: Potential, init: Union[Ensemble, np.ndarray],
         raise ValueError("thin must be >= 1")
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
+    keep = set(range(0, n_steps + 1, thin) if record is None else record)
+    if keep and not 0 <= min(keep) <= max(keep) <= n_steps:
+        raise ValueError("record steps must lie in 0..n_steps")
     if isinstance(init, Ensemble):
         ens = init
     else:
@@ -345,74 +374,30 @@ def run_sampler(method: str, p: Potential, init: Union[Ensemble, np.ndarray],
     if ens.dim != p.dim:
         raise ValueError(f"ensemble dimension {ens.dim} != potential dimension {p.dim}")
 
-    particles = ens.particles.copy()
-    stream = ens.rng
+    particles = ens.particles
     j, dim = particles.shape
-    step0 = ens.step
-    sqrt2tau = np.sqrt(2.0 * tau)
-
-    times = [step0 * tau]
-    steps = [step0]
-    snaps = [particles.copy()]
+    step = _transition(method, p, ens.rng, tau, particles, ridge, bandwidth)
+    recorded = [0]
+    snaps = [particles]
     n_accepted = 0
-    n_moves = 0
-
-    if method == "mala":
-        energy = np.asarray(p.value(particles), dtype=float)
-        grads = p.grad(particles)
-
     for local in range(1, n_steps + 1):
-        k = step0 + local - 1  # stream step index for this transition
-        if method == "ula":
-            noise = _noise_matrix(stream, k, j, dim, workers)
-            particles = particles - tau * p.grad(particles) + sqrt2tau * noise
-            n_moves += j
-            n_accepted += j
-        elif method == "mala":
-            rows = _uniform_matrix(stream, k, j, dim + 1, workers)
-            noise = ndtri(rows[:, :dim])
-            u = rows[:, dim]
-            proposal = particles - tau * grads + sqrt2tau * noise
-            prop_energy = np.asarray(p.value(proposal), dtype=float)
-            prop_grads = p.grad(proposal)
-            fwd = -np.sum((proposal - particles + tau * grads) ** 2, axis=-1) / (4 * tau)
-            bwd = -np.sum((particles - proposal + tau * prop_grads) ** 2, axis=-1) / (4 * tau)
-            log_a = energy - prop_energy + bwd - fwd
-            accept = u < np.exp(np.minimum(0.0, log_a))
-            particles = np.where(accept[:, None], proposal, particles)
-            energy = np.where(accept, prop_energy, energy)
-            grads = np.where(accept[:, None], prop_grads, grads)
-            n_moves += j
-            n_accepted += int(accept.sum())
-        elif method == "ensemble":
-            stepped = ensemble_langevin_step(
-                p, Ensemble(particles=particles, rng=stream, step=k), tau,
-                ridge=ridge, workers=workers)
-            particles = stepped.particles
-            n_moves += j
-            n_accepted += j
-        else:  # bdl
-            stepped = bdl_step(
-                p, Ensemble(particles=particles, rng=stream, step=k), tau,
-                bandwidth=bandwidth, workers=workers)
-            particles = stepped.particles
-            n_moves += j
-            n_accepted += j
+        k = ens.step + local - 1  # stream step index for this transition
+        particles, accepted = step(particles, k)
         _check_finite(particles, k)
-        if local % thin == 0:
-            times.append((step0 + local) * tau)
-            steps.append(step0 + local)
-            snaps.append(particles.copy())
+        n_accepted += accepted
+        if local in keep:
+            recorded.append(local)
+            snaps.append(particles)
 
+    steps = ens.step + np.asarray(recorded, dtype=int)
     states = np.stack(snaps)
     pooled = states[1:] if states.shape[0] > 1 else states
     flat = pooled.reshape(-1, dim)
     mean = flat.mean(axis=0)
     cov = np.atleast_2d(np.cov(flat.T)) if flat.shape[0] > 1 else np.zeros((dim, dim))
-    stats = ChainStats(n_steps=n_steps, n_moves=n_moves, n_accepted=n_accepted,
+    stats = ChainStats(n_steps=n_steps, n_moves=j * n_steps, n_accepted=n_accepted,
                        mean=mean, cov=cov)
-    return SampleRun(times=np.asarray(times), steps=np.asarray(steps, dtype=int),
-                     states=states, stats=stats)
+    return SampleRun(times=steps * tau, steps=steps, states=states, stats=stats)
 
 
 def integrated_autocorr_time(series: np.ndarray) -> float:

@@ -131,6 +131,66 @@ def test_duplicate_key_rejected():
     assert any("duplicate key" in line for line in err.value.errors)
 
 
+@pytest.mark.parametrize("old,new", [
+    ("tau: 0.1", "tau: .inf"),
+    ("steps: 200", "time: .inf"),
+    ("lo: -5.0", "lo: -.inf"),
+    ("mean: [0.0]", "mean: [.nan]"),
+    ("times: [10.0, 20.0]", "times: [10.0, .inf]"),
+])
+def test_non_finite_values_are_config_errors(tmp_path, capsys, old, new):
+    cfg_path = tmp_path / "exp.yaml"
+    cfg_path.write_text(TINY_ULA.replace(old, new))
+    assert main(["validate", str(cfg_path)]) == 2
+    assert main(["run", str(cfg_path), "--out-root", str(tmp_path)]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("literal,value", [("1e-3", 1e-3), ("1E+2", 100.0),
+                                           ("-2e-1", -0.2)])
+def test_scientific_notation_reads_as_a_number(literal, value):
+    sampler = f"""\
+problem: quadratic:0.5
+method: ula
+tau: {literal}
+steps: 10
+seed: 1
+particles: 10
+init: {{kind: gaussian, mean: [{literal}], var: 1.0}}
+grid: {{lo: -1000.0, hi: {literal}, n: 10}}
+"""
+    grid = f"""\
+problem: quadratic:0.5
+method: fpe
+dt: {literal}
+time: 1.0
+init: {{kind: gibbs}}
+grid: {{lo: -1000.0, hi: {literal}, n: 10}}
+"""
+    if value > 0:
+        cfg = parse_config(sampler)
+        assert (cfg.tau, cfg.init["mean"], cfg.grid["hi"]) == (value, [value], value)
+        assert parse_config(grid).tau == value
+        return
+    # a negative step size is refused as a number out of range, not as text
+    for text, key in ((sampler, "tau"), (grid, "dt")):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.errors == [f"line 3: {key} must be > 0.0"]
+
+
+@pytest.mark.parametrize("old,new", [
+    ("times: [10.0, 20.0]", "times: [0.25]"),            # between steps 2 and 3
+    ("steps: 200", "steps: 10"),                          # 10.0 and 20.0 past t=1
+    ("thin: 50", "thin: 50\nassertions:\n  - {check: metric_max, metric: tv, "
+                 "time: 20.1, max: 1.0}"),
+])
+def test_sampler_times_must_be_whole_steps_within_the_horizon(old, new):
+    with pytest.raises(ConfigError) as err:
+        parse_config(TINY_ULA.replace(old, new))
+    assert all("whole number of tau=0.1 steps" in line for line in err.value.errors)
+
+
 # --- runner: deterministic recipe -------------------------------------------------
 
 def test_fig2_recipe_endpoints(tmp_path):

@@ -3,6 +3,7 @@ determinism contract."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import ndtri
 from scipy.stats import norm
 
@@ -289,6 +290,46 @@ def test_run_sampler_thin_and_stats():
     assert run.stats.n_moves == 50
     with pytest.raises(ValueError):
         run_sampler("nope", STD_GAUSSIAN, ens, 0.1, 10)
+
+
+def _chained_segments(method, p, ens, tau, record):
+    """Reference for ``record=``: one run per gap between recorded steps,
+    each resumed from the last state, with acceptances summed and the
+    recorded states pooled afterwards."""
+    states = {0: ens.particles}
+    n_accepted = 0
+    for prev, nxt in zip(record[:-1], record[1:]):
+        run = run_sampler(method, p, ens, tau, nxt - prev, thin=nxt - prev)
+        ens = Ensemble(particles=run.final, rng=ens.rng, step=nxt)
+        states[nxt] = run.final
+        n_accepted += run.stats.n_accepted
+    pooled = np.concatenate([states[k] for k in record[1:]]) if len(record) > 1 else states[0]
+    return (np.stack([states[k] for k in record]), n_accepted,
+            pooled.mean(axis=0), np.atleast_2d(np.cov(pooled.T)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(method=st.sampled_from(["ula", "mala", "ensemble", "bdl"]),
+       n_steps=st.integers(0, 9), data=st.data())
+def test_recorded_run_equals_chained_segments(method, n_steps, data):
+    picks = data.draw(st.sets(st.integers(0, n_steps), max_size=4))
+    record = sorted(picks | {0, n_steps})
+    p = make_quadratic([0.5, 4.0])
+    ens = Ensemble.gaussian(RngStream(17), 12, [0.5, -0.3], [[1.0, 0.2], [0.2, 0.5]])
+    run = run_sampler(method, p, ens, 0.2, n_steps, record=set(record))
+    states, n_accepted, mean, cov = _chained_segments(method, p, ens, 0.2, record)
+    assert run.steps.tolist() == record
+    assert np.array_equal(run.states, states)
+    assert run.stats.n_accepted == n_accepted
+    assert run.stats.n_moves == 12 * n_steps
+    assert np.array_equal(run.stats.mean, mean)
+    assert np.array_equal(run.stats.cov, cov)
+
+
+def test_run_sampler_rejects_record_outside_the_run():
+    ens = Ensemble.gaussian(RngStream(4), 10, [0.0], [[1.0]])
+    with pytest.raises(ValueError, match="record"):
+        run_sampler("ula", STD_GAUSSIAN, ens, 0.1, 5, record={2, 6})
 
 
 # --- autocorrelation diagnostics ------------------------------------------------------------
