@@ -14,7 +14,7 @@ import numpy as np
 
 from .density import Grid1D, GridDensity
 from .fpe import DecayReport
-from .optimize import Trajectory
+from .optimize import ConvergenceReport, Trajectory
 from .sample import ChainStats, SampleRun
 
 __all__ = [
@@ -26,6 +26,7 @@ __all__ = [
     "read_samples_csv",
     "write_chain_stats",
     "write_decay_report",
+    "write_rates_report",
     "write_metrics_csv",
 ]
 
@@ -135,6 +136,15 @@ def write_decay_report(path, report: DecayReport) -> None:
         w.writerow(["time", "l2_pi_inv", "kl", "envelope_l2", "envelope_kl"])
         for row in report.rows():
             w.writerow([format_real(v) for v in row])
+
+
+def write_rates_report(path, report: ConvergenceReport) -> None:
+    """Flat key-value text block of a ``verify_rates`` report."""
+    with _open_writer(path) as fh:
+        fh.write(f"fitted_rate {format_real(report.fitted_rate)}\n")
+        fh.write(f"dissipation_violations {report.dissipation_violations}\n")
+        fh.write(f"rate_bound_satisfied {report.rate_bound_satisfied}\n")
+        fh.write(f"bound_applicable {report.details['bound_applicable']}\n")
 
 
 def write_metrics_csv(path, rows: Sequence[dict]) -> None:

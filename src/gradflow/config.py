@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass, field as dc_field
 from typing import List, Optional
 
+import numpy as np
 import yaml
 
 from .errors import ConfigError
@@ -207,6 +208,35 @@ def _float_list(node, errors, where):
     return None
 
 
+def _number_rows(val):
+    """``val`` as a nonempty list of equal-length, nonempty lists of finite
+    numbers (converted to floats), or None when it is not one."""
+    if (isinstance(val, list) and val
+            and all(isinstance(r, list) and r and all(_is_number(x) for x in r)
+                    for r in val)
+            and len({len(r) for r in val}) == 1):
+        return [[float(x) for x in r] for r in val]
+    return None
+
+
+def _cov_error(rows, side: int):
+    """Why ``rows`` is not a covariance for a mean of length ``side``, or None."""
+    if rows is None:
+        return "must be a list of equal-length lists of finite numbers"
+    cov = np.asarray(rows)
+    if cov.shape[0] != cov.shape[1]:
+        return f"must be square, not {cov.shape[0]}x{cov.shape[1]}"
+    if cov.shape[0] != side:
+        return f"must be {side}x{side} to match the mean"
+    if not np.array_equal(cov, cov.T):
+        return "must be symmetric"
+    try:
+        np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        return "must be positive definite"
+    return None
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate; raises ConfigError listing every violation."""
     errors: List[str] = []
@@ -375,12 +405,11 @@ def _parse_init(node, errors):
         val = _construct(node)
         if all(_is_number(v) for v in val) and val:
             return [float(v) for v in val]
-        if val and all(isinstance(v, list) and v and all(_is_number(x) for x in v)
-                       for v in val):
-            return [[float(x) for x in v] for v in val]
-        errors.append(f"line {_line(node)}: init list must hold finite numbers or "
-                      "lists of them")
-        return None
+        rows = _number_rows(val)
+        if rows is None:
+            errors.append(f"line {_line(node)}: init list must hold finite numbers or "
+                          "equal-length lists of them")
+        return rows
     if isinstance(node, yaml.MappingNode):
         sub = _mapping_items(node, errors, "init")
         sf = _Field(sub, errors)
@@ -410,13 +439,21 @@ def _parse_init(node, errors):
                 return None
             if var is not None:
                 return {"kind": "gaussian", "mean": mean, "var": var}
-            cov = _construct(cov_node)
+            cov = _number_rows(_construct(cov_node))
+            problem = _cov_error(cov, len(mean))
+            if problem:
+                errors.append(f"line {_line(cov_node)}: cov {problem}")
+                return None
             return {"kind": "gaussian", "mean": mean, "cov": cov}
         points_node = sub.get("points")
         if points_node is None:
             errors.append(f"line {_line(node)}: points init needs 'points'")
             return None
-        pts = _construct(points_node)
+        pts = _number_rows(_construct(points_node))
+        if pts is None:
+            errors.append(f"line {_line(points_node)}: points must be a list of "
+                          "equal-length lists of finite numbers")
+            return None
         return {"kind": "points", "points": pts}
     errors.append(f"line {_line(node)}: init must be a list or a mapping")
     return None

@@ -148,20 +148,39 @@ def histogram(samples, grid: Grid1D) -> GridDensity:
     return GridDensity(grid=grid, values=values, meta={"n_outside": n_outside})
 
 
-def kde(samples, bandwidth: float, eval_points) -> np.ndarray:
-    """Gaussian-kernel density estimate averaged over samples."""
-    if bandwidth <= 0:
+def kde(samples, bandwidth, eval_points) -> np.ndarray:
+    """Gaussian product-kernel density estimate averaged over samples.
+
+    ``samples`` is (N,) or (N, 1) on the line, with ``eval_points``
+    flattened to M points, or (N, d) with (M, d) ``eval_points``.
+    ``bandwidth`` is a positive scalar or a per-axis (d,) array.  Returns
+    the (M,) density values.  Squared distances are expanded as
+    |a|^2 + |b|^2 - 2 a.b on bandwidth-scaled points and clamped at 0,
+    over blocks of evaluation points so the pairwise matrix stays small.
+    """
+    s = np.asarray(samples, dtype=float)
+    if s.ndim < 2:
+        s = s.reshape(-1, 1)
+    n, dim = s.shape
+    if n == 0:
+        raise ValueError("kde needs at least one sample")
+    x = np.asarray(eval_points, dtype=float)
+    if dim == 1:
+        x = x.reshape(-1, 1)
+    if x.ndim != 2 or x.shape[1] != dim:
+        raise ValueError(f"eval_points must be (M, {dim}) for (N, {dim}) samples")
+    h = np.broadcast_to(np.asarray(bandwidth, dtype=float), (dim,))
+    if not np.all(h > 0):
         raise ValueError("bandwidth must be positive")
-    s = np.asarray(samples, dtype=float).ravel()
-    x = np.asarray(eval_points, dtype=float).ravel()
-    out = np.zeros(x.size)
-    norm = 1.0 / (s.size * bandwidth * np.sqrt(2 * np.pi))
-    # chunk the samples so the pairwise matrix stays small
-    chunk = max(1, 10_000_000 // max(x.size, 1))
-    for lo in range(0, s.size, chunk):
-        block = s[lo:lo + chunk]
-        z = (x[:, None] - block[None, :]) / bandwidth
-        out += np.exp(-0.5 * z**2).sum(axis=1)
+    norm = 1.0 / (n * np.prod(h * np.sqrt(2.0 * np.pi)))
+    s, x = s / h, x / h
+    s_sq, x_sq = np.sum(s**2, axis=1), np.sum(x**2, axis=1)
+    out = np.empty(x.shape[0])
+    chunk = max(1, 4_000_000 // n)
+    for lo in range(0, x.shape[0], chunk):
+        d2 = x_sq[lo:lo + chunk, None] + s_sq[None, :] - 2.0 * x[lo:lo + chunk] @ s.T
+        np.maximum(d2, 0.0, out=d2)
+        out[lo:lo + chunk] = np.exp(-0.5 * d2).sum(axis=1)
     return norm * out
 
 

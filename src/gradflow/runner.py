@@ -18,11 +18,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .artifacts import (format_real, read_density_csv, read_samples_csv,
-                        write_chain_stats, write_decay_report, write_density_csv,
-                        write_metrics_csv, write_samples_csv, write_trajectory_csv)
+from .artifacts import (read_density_csv, read_samples_csv, write_chain_stats,
+                        write_decay_report, write_density_csv, write_metrics_csv,
+                        write_rates_report, write_samples_csv, write_trajectory_csv)
 from .config import ExperimentConfig, config_to_dict
-from .density import Grid1D, GridDensity, histogram, kl_divergence, l2_pi_inv_norm, normalize, tv_distance
+from .density import (Grid1D, GridDensity, gibbs_density, histogram, kl_divergence,
+                      l2_pi_inv_norm, normalize, tv_distance)
 from .errors import GradflowError
 from .fpe import FokkerPlanckSolver1D, FpeState, bdl_fpe_step, decay_report, fpe_step, weighted_fpe_step
 from .optimize import (PreconditionerField, bfgs_stepper, gradient_stepper,
@@ -124,12 +125,7 @@ def _run_deterministic(cfg, potential, out_root, artifacts, endpoint_states):
         elif spec.kind == "rates":
             for i, traj in enumerate(trajectories):
                 path = _indexed_path(spec.path, i, len(trajectories), out_root)
-                report = verify_rates(traj, potential)
-                with path.open("w") as fh:
-                    fh.write(f"fitted_rate {format_real(report.fitted_rate)}\n")
-                    fh.write(f"dissipation_violations {report.dissipation_violations}\n")
-                    fh.write(f"rate_bound_satisfied {report.rate_bound_satisfied}\n")
-                    fh.write(f"bound_applicable {report.details['bound_applicable']}\n")
+                write_rates_report(path, verify_rates(traj, potential))
                 artifacts.append(path)
 
 
@@ -201,13 +197,13 @@ def _run_stochastic(cfg, potential, out_root, artifacts):
     states = dict(zip(run.steps.tolist(), run.states))
 
     grid = _grid_from_cfg(cfg) if cfg.grid else None
+    # one histogram per time, shared by the metrics and the histogram outputs
+    hists = {t: histogram(states[int(round(t / tau))][:, 0], grid)
+             for t in sorted(set(requested))}
     metrics_rows = []
-    metric_times = sorted(set(requested))
-    if grid is not None and metric_times:
-        solver = FokkerPlanckSolver1D(potential, grid)
-        target = solver.target()
-        for t in metric_times:
-            hist = histogram(states[int(round(t / tau))][:, 0], grid)
+    if hists:
+        target = gibbs_density(potential, grid)
+        for t, hist in hists.items():
             metrics_rows.extend(_metric_rows(t, hist, target))
 
     for spec in cfg.outputs:
@@ -220,9 +216,8 @@ def _run_stochastic(cfg, potential, out_root, artifacts):
             artifacts.append(path)
         elif spec.kind == "histogram":
             for t in spec.times or [n_steps * tau]:
-                hist = histogram(states[int(round(t / tau))][:, 0], grid)
                 path = _timed_path(spec.path, t, spec.times, out_root)
-                write_density_csv(path, hist)
+                write_density_csv(path, hists[t])
                 artifacts.append(path)
         elif spec.kind == "metrics":
             path = _ensure_dir(_resolve(spec.path, out_root))

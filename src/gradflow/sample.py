@@ -24,7 +24,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 from scipy.special import ndtri
 
-from .density import silverman_bandwidth
+from .density import kde, silverman_bandwidth
 from .errors import DivergenceError, PreconditionerError
 from .potentials import Potential
 from .rng import RngStream
@@ -208,49 +208,22 @@ def ensemble_langevin_step(p: Potential, e: Ensemble, tau: float,
     return Ensemble(particles=new, rng=e.rng, step=e.step + 1)
 
 
-def _ensemble_log_kde(particles: np.ndarray, bandwidth) -> np.ndarray:
-    """Log of the Gaussian product-kernel density of the ensemble at its
-    own points (self term included, so the sum never underflows)."""
-    j, dim = particles.shape
-    if bandwidth is None or bandwidth == "auto":
-        h = np.empty(dim)
-        for a in range(dim):
-            col = particles[:, a]
-            std = float(np.std(col, ddof=1))
-            h[a] = silverman_bandwidth(col) if std > 0 else 1.0
-            if std > 0:
-                h[a] = max(h[a], 1e-3 * std)
-    else:
-        if bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
-        h = np.full(dim, float(bandwidth))
-    log_norm = -np.log(j) - np.sum(np.log(h * np.sqrt(2.0 * np.pi)))
-    scaled = particles / h
-    out = np.empty(j)
-    chunk = max(1, 4_000_000 // j)
-    sq_norms = np.sum(scaled**2, axis=1)
-    for lo in range(0, j, chunk):
-        hi = min(j, lo + chunk)
-        d2 = (sq_norms[lo:hi, None] + sq_norms[None, :]
-              - 2.0 * scaled[lo:hi] @ scaled.T)
-        np.maximum(d2, 0.0, out=d2)
-        out[lo:hi] = np.exp(-0.5 * d2).sum(axis=1)
-    return np.log(np.maximum(out, 1e-300)) + log_norm
-
-
 def bdl_step(p: Potential, e: Ensemble, tau: float, bandwidth="auto",
              log_density_fn: Optional[Callable] = None) -> Ensemble:
     """Langevin substep followed by a birth-death exchange.
 
     Rates r_i = log rho_hat(theta_i) + V(theta_i) are centered by their
     ensemble mean, which cancels the unknown normalizer of the target;
-    particles with positive excess are killed (replaced by a uniformly
-    chosen other particle) with probability 1 - exp(-beta tau), those with
-    negative excess duplicated onto a uniform partner with probability
-    1 - exp(beta tau).  The sweep runs serially in particle-index order on
-    the current state, and the particle count is conserved exactly.
-    ``log_density_fn`` overrides the kernel density estimate (used by
-    stationarity checks with exact densities).
+    particle i fires with probability 1 - exp(-|beta_i| tau), where beta_i
+    is its centered rate.  A fired particle with positive excess is killed
+    (replaced by a uniformly chosen other particle), one with negative
+    excess duplicated onto that partner.  Only fired particles are
+    visited, serially in particle-index order on the current state, and
+    the particle count is conserved exactly.  rho_hat is ``density.kde``
+    of the moved particles at themselves, with bandwidth ``"auto"``
+    (per-axis Silverman, ``silverman_bandwidth`` of each coordinate) or a
+    fixed positive number.  ``log_density_fn`` overrides the estimate
+    (used by stationarity checks with exact densities).
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -266,7 +239,9 @@ def bdl_step(p: Potential, e: Ensemble, tau: float, bandwidth="auto",
     if log_density_fn is not None:
         log_rho = np.asarray(log_density_fn(moved), dtype=float)
     else:
-        log_rho = _ensemble_log_kde(moved, bandwidth)
+        h = ([silverman_bandwidth(col) for col in moved.T] if bandwidth == "auto"
+             else bandwidth)
+        log_rho = np.log(kde(moved, h, moved))
     rates = log_rho + p.value(moved)
     beta = rates - rates.mean()
 
@@ -274,17 +249,13 @@ def bdl_step(p: Potential, e: Ensemble, tau: float, bandwidth="auto",
     j = e.size
     partners = np.floor(u_partner * (j - 1)).astype(int)
     partners = np.minimum(partners, j - 2)
-    for i in range(j):
-        b = beta[i]
-        if b == 0.0:
-            continue
-        partner = partners[i] + (1 if partners[i] >= i else 0)
-        if b > 0:
-            if u_decide[i] < -np.expm1(-b * tau):
-                particles[i] = particles[partner]
+    partners += partners >= np.arange(j)  # skip the particle itself
+    fired = np.flatnonzero(u_decide < -np.expm1(-np.abs(beta) * tau))
+    for i in fired:
+        if beta[i] > 0:
+            particles[i] = particles[partners[i]]
         else:
-            if u_decide[i] < -np.expm1(b * tau):
-                particles[partner] = particles[i]
+            particles[partners[i]] = particles[i]
     return Ensemble(particles=particles, rng=e.rng, step=e.step + 1)
 
 

@@ -191,6 +191,48 @@ def test_sampler_times_must_be_whole_steps_within_the_horizon(old, new):
     assert all("whole number of tau=0.1 steps" in line for line in err.value.errors)
 
 
+GAUSSIAN_INIT = "  mean: [0.0]\n  var: 1.0\n"
+
+
+@pytest.mark.parametrize("init,message", [
+    ("  kind: points\n  points: [[.inf], [a]]\n", "line 9: points must be"),
+    ("  kind: points\n  points: [[0.0], [.nan]]\n", "line 9: points must be"),
+    ("  kind: points\n  points: [[0.0], [1.0, 2.0]]\n", "line 9: points must be"),
+    ("  - [0.0]\n  - [1.0, 2.0]\n", "line 8: init list must hold"),
+    ("  kind: gaussian\n  mean: [0.0]\n  cov: [[1.0, 0.0]]\n",
+     "line 10: cov must be square, not 1x2"),
+    ("  kind: gaussian\n  mean: [0.0]\n  cov: [[1.0], [0.0, 1.0]]\n",
+     "line 10: cov must be a list of equal-length lists"),
+    ("  kind: gaussian\n  mean: [0.0]\n  cov: [[1.0, 0.0], [0.0, 1.0]]\n",
+     "line 10: cov must be 1x1 to match the mean"),
+    ("  kind: gaussian\n  mean: [0.0, 0.0]\n  cov: [[1.0, 0.5], [0.0, 1.0]]\n",
+     "line 10: cov must be symmetric"),
+    ("  kind: gaussian\n  mean: [0.0, 0.0]\n  cov: [[1.0, 2.0], [2.0, 1.0]]\n",
+     "line 10: cov must be positive definite"),
+])
+def test_bad_points_and_cov_are_config_errors(tmp_path, capsys, init, message):
+    text = TINY_ULA.replace("  kind: gaussian\n" + GAUSSIAN_INIT, init)
+    assert text != TINY_ULA
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert [line for line in err.value.errors if line.startswith(message)]
+    cfg_path = tmp_path / "exp.yaml"
+    cfg_path.write_text(text)
+    assert main(["validate", str(cfg_path)]) == 2
+    assert main(["run", str(cfg_path), "--out-root", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_good_points_and_cov_parse_as_floats():
+    points = parse_config(TINY_ULA.replace(
+        "  kind: gaussian\n" + GAUSSIAN_INIT, "  kind: points\n  points: [[1], [-2.5]]\n"))
+    assert points.init == {"kind": "points", "points": [[1.0], [-2.5]]}
+    cov = parse_config(TINY_ULA.replace(GAUSSIAN_INIT, "  mean: [0.0, 1]\n"
+                                        "  cov: [[2, 0.5], [0.5, 1.0]]\n"))
+    assert cov.init == {"kind": "gaussian", "mean": [0.0, 1.0],
+                        "cov": [[2.0, 0.5], [0.5, 1.0]]}
+
+
 # --- runner: deterministic recipe -------------------------------------------------
 
 def test_fig2_recipe_endpoints(tmp_path):

@@ -107,6 +107,27 @@ def test_kde_two_sample_hand_formula():
         kde([0.0], 0.0, [0.0])
 
 
+def test_kde_product_kernel_with_per_axis_bandwidth():
+    samples = RNG.standard_normal((40, 2))
+    points = RNG.standard_normal((7, 2))
+    h = np.array([0.3, 0.8])
+    z = (points[:, None, :] - samples[None, :, :]) / h
+    want = (np.exp(-0.5 * z**2) / (h * np.sqrt(2 * np.pi))).prod(axis=2).mean(axis=1)
+    assert np.allclose(kde(samples, h, points), want, rtol=1e-12, atol=0)
+    with pytest.raises(ValueError):
+        kde(samples, [0.3, 0.0], points)
+    with pytest.raises(ValueError):
+        kde(samples, h, points[:, :1])
+
+
+def test_kde_column_input_equals_the_line():
+    samples = RNG.standard_normal(50)
+    points = np.linspace(-3.0, 3.0, 11)
+    line = kde(samples, 0.4, points)
+    assert np.array_equal(kde(samples[:, None], 0.4, points[:, None]), line)
+    assert np.array_equal(kde(samples[:, None], [0.4], points[:, None]), line)
+
+
 # --- bandwidth --------------------------------------------------------------------
 
 def test_silverman_formula_and_scaling():

@@ -9,7 +9,7 @@ from scipy.stats import norm
 
 from gradflow.errors import DivergenceError, PreconditionerError
 from gradflow.optimize import explicit_euler_step
-from gradflow.potentials import (GaussianSpec, make_double_well,
+from gradflow.potentials import (GaussianSpec, Potential, make_double_well,
                                  make_gaussian_mixture, make_gaussian_posterior,
                                  make_quadratic)
 from gradflow.rng import RngStream
@@ -238,6 +238,47 @@ def test_bdl_moves_mass_between_modes():
     ula = run_sampler("ula", mix, ens, 0.01, 600, thin=600)
     right_ula = float(np.mean(ula.final[:, 0] > 0))
     assert right > right_ula + 0.1
+
+
+def _serial_exchange(moved, beta, rows, tau):
+    """Reference exchange: the per-particle loop over every particle, in
+    index order, with the kill and duplicate thresholds written apart."""
+    particles = moved.copy()
+    j, dim = particles.shape
+    u_decide, u_partner = rows[:, dim], rows[:, dim + 1]
+    partners = np.minimum(np.floor(u_partner * (j - 1)).astype(int), j - 2)
+    for i in range(j):
+        b = beta[i]
+        if b == 0.0:
+            continue
+        partner = partners[i] + (1 if partners[i] >= i else 0)
+        if b > 0:
+            if u_decide[i] < -np.expm1(-b * tau):
+                particles[i] = particles[partner]
+        else:
+            if u_decide[i] < -np.expm1(b * tau):
+                particles[partner] = particles[i]
+    return particles
+
+
+@settings(max_examples=80, deadline=None)
+@given(dim=st.integers(1, 2), j=st.integers(2, 12), tau=st.sampled_from([0.01, 0.2, 1.0]),
+       seed=st.integers(0, 2**32 - 1), step=st.integers(0, 50), data=st.data())
+def test_bdl_exchange_equals_the_serial_sweep(dim, j, tau, seed, step, data):
+    # whole quarter rates with a whole-quarter mean: zero, positive and
+    # negative excesses all occur exactly
+    ks = data.draw(st.lists(st.integers(-40, 40), min_size=j, max_size=j))
+    ks[-1] -= sum(ks) % j
+    rates = 0.25 * np.array(ks, dtype=float)
+    flat = Potential(dim=dim, value=lambda t: np.zeros(t.shape[:-1]), grad=np.zeros_like)
+    rng = RngStream(seed)
+    start = Ensemble.gaussian(rng, j, np.zeros(dim), np.eye(dim)).particles
+    got = bdl_step(flat, Ensemble(particles=start, rng=rng, step=step), tau,
+                   log_density_fn=lambda pts: rates)
+    rows = rng.uniform_rows(step, 0, j, dim + 2)
+    moved = ula_step(flat, start, tau, ndtri(rows[:, :dim]))
+    assert np.array_equal(got.particles,
+                          _serial_exchange(moved, rates - rates.mean(), rows, tau))
 
 
 # --- run_sampler mechanics ---------------------------------------------------------------
