@@ -12,7 +12,6 @@ from pathlib import Path
 
 from .config import parse_config
 from .errors import ConfigError, GradflowError
-from .potentials import from_identifier
 from .runner import AssertionFailure, compare_files, run_experiment
 
 _CATALOG = """\
@@ -59,7 +58,7 @@ def _load_config(path: str):
     cfg_path = Path(path)
     if not cfg_path.exists():
         raise ConfigError([f"config file not found: {path}"])
-    return parse_config(cfg_path.read_text())
+    return parse_config(cfg_path.read_text(), resolve_problem=True)
 
 
 def main(argv=None) -> int:
@@ -75,7 +74,6 @@ def main(argv=None) -> int:
             return 0
         if args.command == "validate":
             cfg = _load_config(args.config)
-            from_identifier(cfg.problem)  # grammar check beyond structure
             print(f"ok: {args.config}")
             return 0
         if args.command == "compare":

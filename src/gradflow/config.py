@@ -2,8 +2,11 @@
 
 Configs are YAML mappings parsed in strict mode: unknown keys are
 rejected, every violation is reported with its line number, and all
-errors are collected before failing.  ``serialize_config`` emits a
-canonical form that reparses to an equal config.
+errors are collected before failing.  With ``resolve_problem`` (as the
+CLI's ``run`` and ``validate`` both parse) the problem's potential is
+built too, and points, means, grid methods and histograms are checked
+against its dimension.  ``serialize_config`` emits a canonical form that
+reparses to an equal config.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import numpy as np
 import yaml
 
 from .errors import ConfigError
+from .potentials import from_identifier
 
 __all__ = [
     "ExperimentConfig",
@@ -40,6 +44,12 @@ _OUTPUT_KINDS = {
     "grid": ("density", "metrics", "rates"),
 }
 _TIMED_KINDS = ("histogram", "density", "metrics")
+# init forms each family runs: "list" is a point or a list of points
+_INIT_KINDS = {
+    "deterministic": ("list",),
+    "stochastic": ("list", "gaussian", "points"),
+    "grid": ("gaussian", "gibbs"),
+}
 _METRIC_NAMES = ("tv", "kl", "l2pinv")
 _ASSERTION_CHECKS = ("endpoint_near", "metric_max", "metric_monotone")
 
@@ -208,6 +218,13 @@ def _float_list(node, errors, where):
     return None
 
 
+def _check_dim(node, what: str, n: int, dim, errors) -> None:
+    """Report ``what`` (n coordinates) unless it fits a dim-D problem."""
+    if dim is not None and n != dim:
+        errors.append(f"line {_line(node)}: {what} has {n} coordinate(s) but "
+                      f"the problem is {dim}-D")
+
+
 def _number_rows(val):
     """``val`` as a nonempty list of equal-length, nonempty lists of finite
     numbers (converted to floats), or None when it is not one."""
@@ -237,8 +254,14 @@ def _cov_error(rows, side: int):
     return None
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate; raises ConfigError listing every violation."""
+def parse_config(text: str, resolve_problem: bool = False) -> ExperimentConfig:
+    """Parse and validate; raises ConfigError listing every violation.
+
+    ``resolve_problem`` also builds the problem's potential and checks the
+    config against its dimension; an identifier that no potential accepts
+    then raises the potential's ValueError, once the config has no other
+    errors.
+    """
     errors: List[str] = []
     try:
         root = yaml.compose(text, Loader=_Loader)
@@ -261,6 +284,12 @@ def parse_config(text: str) -> ExperimentConfig:
         errors.append("line 1: missing required key 'problem'")
     if "method" not in items:
         errors.append("line 1: missing required key 'method'")
+    dim, problem_error = None, None
+    if resolve_problem and problem is not None:
+        try:
+            dim = from_identifier(problem).dim
+        except ValueError as exc:
+            problem_error = exc
 
     tau = f.floating("tau", minimum=0.0, exclusive=True)
     dt = f.floating("dt", minimum=0.0, exclusive=True)
@@ -315,9 +344,11 @@ def parse_config(text: str) -> ExperimentConfig:
     init = None
     init_node = f.node("init")
     if init_node is not None:
-        init = _parse_init(init_node, errors)
+        init = _parse_init(init_node, errors, dim)
 
     outputs: List[OutputSpec] = []
+    # lines of the outputs and assertions that histogram the particles
+    histogram_lines = []
     out_node = f.node("outputs")
     if out_node is not None:
         if not isinstance(out_node, yaml.SequenceNode):
@@ -327,6 +358,8 @@ def parse_config(text: str) -> ExperimentConfig:
                 spec = _parse_output(item, errors)
                 if spec:
                     outputs.append(spec)
+                    if spec.kind in ("histogram", "metrics"):
+                        histogram_lines.append(_line(item))
 
     assertions: List[AssertionSpec] = []
     asrt_node = f.node("assertions")
@@ -335,9 +368,11 @@ def parse_config(text: str) -> ExperimentConfig:
             errors.append(f"line {_line(asrt_node)}: assertions must be a list")
         else:
             for item in asrt_node.value:
-                spec = _parse_assertion(item, errors)
+                spec = _parse_assertion(item, errors, dim)
                 if spec:
                     assertions.append(spec)
+                    if spec.check in ("metric_max", "metric_monotone"):
+                        histogram_lines.append(_line(item))
 
     # method-family requirements
     if method is not None:
@@ -353,16 +388,24 @@ def parse_config(text: str) -> ExperimentConfig:
             errors.append(f"line 1: method {method!r} requires key 'init'")
         if family == "deterministic" and init_node is None:
             errors.append(f"line 1: method {method!r} requires key 'init'")
+        init_kind = init.get("kind") if isinstance(init, dict) else "list"
+        if init is not None and init_kind not in _INIT_KINDS[family]:
+            errors.append(f"line {_line(init_node)}: init {init_kind!r} is not valid "
+                          f"for method {method!r} (allowed: "
+                          f"{', '.join(_INIT_KINDS[family])})")
+        if family == "grid" and dim not in (None, 1):
+            errors.append(f"line {_line(items['problem'])}: method {method!r} needs a "
+                          f"1-D problem; {problem!r} is {dim}-D")
         allowed = _OUTPUT_KINDS[family]
         for spec in outputs:
             if spec.kind not in allowed:
                 errors.append(f"line 1: output kind {spec.kind!r} not valid for "
                               f"method {method!r} (allowed: {', '.join(allowed)})")
-        needs_grid = any(spec.kind in ("histogram", "metrics") for spec in outputs)
-        needs_grid = needs_grid or any(a.check in ("metric_max", "metric_monotone")
-                                       for a in assertions)
-        if family == "stochastic" and needs_grid and grid_node is None:
+        if family == "stochastic" and histogram_lines and grid_node is None:
             errors.append("line 1: histogram/metrics outputs require key 'grid'")
+        if family == "stochastic" and dim not in (None, 1):
+            errors.extend(f"line {line}: histograms and metrics need a 1-D problem; "
+                          f"{problem!r} is {dim}-D" for line in histogram_lines)
         if (family == "stochastic" and step_size is not None
                 and (steps is not None or time is not None)):
             errors.extend(_sampler_time_errors(
@@ -370,6 +413,8 @@ def parse_config(text: str) -> ExperimentConfig:
 
     if errors:
         raise ConfigError(errors)
+    if problem_error is not None:
+        raise problem_error
     return ExperimentConfig(
         problem=problem, method=method, tau=step_size, steps=steps, time=time,
         seed=seed, particles=particles, init=init, grid=grid,
@@ -395,20 +440,26 @@ def _sampler_time_errors(outputs, assertions, tau, n_steps):
     return errors
 
 
-def _parse_init(node, errors):
+def _parse_init(node, errors, dim):
     """Initial condition: a point / list of points, or a mapping.
 
     Mappings: {kind: gaussian, mean: ..., var|cov: ...},
-    {kind: points, points: [[...], ...]}, {kind: gibbs}.
+    {kind: points, points: [[...], ...]}, {kind: gibbs}.  Every point and
+    mean must have ``dim`` coordinates (unchecked when ``dim`` is None).
+    A list of points starts one deterministic flow from each point, or
+    places sampler particles as ``kind: points`` does.
     """
     if isinstance(node, yaml.SequenceNode):
         val = _construct(node)
         if all(_is_number(v) for v in val) and val:
+            _check_dim(node, "init point", len(val), dim, errors)
             return [float(v) for v in val]
         rows = _number_rows(val)
         if rows is None:
             errors.append(f"line {_line(node)}: init list must hold finite numbers or "
                           "equal-length lists of them")
+        else:
+            _check_dim(node, "each init point", len(rows[0]), dim, errors)
         return rows
     if isinstance(node, yaml.MappingNode):
         sub = _mapping_items(node, errors, "init")
@@ -431,6 +482,7 @@ def _parse_init(node, errors):
                 mean = _float_list(mean_node, errors, "mean")
                 if mean is None:
                     return None
+            _check_dim(mean_node, "mean", len(mean), dim, errors)
             var = sf.floating("var", minimum=0.0, exclusive=True)
             cov_node = sub.get("cov")
             if (var is None) == (cov_node is None):
@@ -454,6 +506,7 @@ def _parse_init(node, errors):
             errors.append(f"line {_line(points_node)}: points must be a list of "
                           "equal-length lists of finite numbers")
             return None
+        _check_dim(points_node, "each point", len(pts[0]), dim, errors)
         return {"kind": "points", "points": pts}
     errors.append(f"line {_line(node)}: init must be a list or a mapping")
     return None
@@ -483,7 +536,7 @@ def _parse_output(node, errors):
     return OutputSpec(kind=kind, path=path, times=times)
 
 
-def _parse_assertion(node, errors):
+def _parse_assertion(node, errors, dim):
     sub = _mapping_items(node, errors, "assertion")
     if not sub:
         return None
@@ -505,6 +558,7 @@ def _parse_assertion(node, errors):
         point = _float_list(point_node, errors, "point")
         if point is None:
             return None
+        _check_dim(point_node, "point", len(point), dim, errors)
         params = {"point": point, "tol": tol}
     elif check == "metric_max":
         for key in sub:

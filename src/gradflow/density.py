@@ -155,8 +155,10 @@ def kde(samples, bandwidth, eval_points) -> np.ndarray:
     flattened to M points, or (N, d) with (M, d) ``eval_points``.
     ``bandwidth`` is a positive scalar or a per-axis (d,) array.  Returns
     the (M,) density values.  Squared distances are expanded as
-    |a|^2 + |b|^2 - 2 a.b on bandwidth-scaled points and clamped at 0,
-    over blocks of evaluation points so the pairwise matrix stays small.
+    |a|^2 + |b|^2 - 2 a.b on points centered at the sample mean and then
+    bandwidth-scaled (centering keeps the expansion from cancelling when
+    the points sit far from the origin), clamped at 0, over blocks of
+    evaluation points so the pairwise matrix stays small.
     """
     s = np.asarray(samples, dtype=float)
     if s.ndim < 2:
@@ -173,7 +175,8 @@ def kde(samples, bandwidth, eval_points) -> np.ndarray:
     if not np.all(h > 0):
         raise ValueError("bandwidth must be positive")
     norm = 1.0 / (n * np.prod(h * np.sqrt(2.0 * np.pi)))
-    s, x = s / h, x / h
+    center = s.mean(axis=0)
+    s, x = (s - center) / h, (x - center) / h
     s_sq, x_sq = np.sum(s**2, axis=1), np.sum(x**2, axis=1)
     out = np.empty(x.shape[0])
     chunk = max(1, 4_000_000 // n)

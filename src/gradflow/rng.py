@@ -8,6 +8,13 @@ state.  Consequences:
 * any partition of particles across workers produces identical output,
 * per-particle rows are exact slices of the vectorized per-step block.
 
+Random-stream layout 2 (``RNG_LAYOUT``): column ``c`` of step ``k`` in
+context ``ctx`` is its own Philox stream, key ``(seed, _KEY_PAD)`` and
+counter ``(0, ctx, k, c + 1)``, and particle ``i`` takes draw ``i`` of
+that stream.  Draws therefore run contiguously over particles and none
+are generated only to be discarded; a chunk starting at particle ``s``
+advances ``s // 4`` Philox blocks and drops ``s % 4`` leading draws.
+
 Gaussians are produced by inverse-CDF transform of one uniform each (the
 ziggurat consumes a variable number of uniforms, which would break
 position addressing).
@@ -23,13 +30,11 @@ from scipy.special import ndtri
 _MASK64 = (1 << 64) - 1
 # second key word decorrelates small seeds; any fixed odd constant works
 _KEY_PAD = 0x9E3779B97F4A7C15
-# Philox advances in blocks of 4 doubles; row strides are padded to match
+# Philox advances in blocks of 4 doubles
 _BLOCK = 4
 _U_MIN = 2.0**-64
-
-
-def _row_stride(width: int) -> int:
-    return _BLOCK * ((width + _BLOCK - 1) // _BLOCK)
+# the random-stream layout version, recorded in every run manifest
+RNG_LAYOUT = 2
 
 
 @dataclass(frozen=True)
@@ -42,14 +47,6 @@ class RngStream:
 
     seed: int
 
-    def _bitgen(self, step: int, context: int, skip_blocks: int) -> np.random.Philox:
-        counter = np.array([0, context & _MASK64, step & _MASK64, 0], dtype=np.uint64)
-        bg = np.random.Philox(key=np.array([self.seed & _MASK64, _KEY_PAD], dtype=np.uint64),
-                              counter=counter)
-        if skip_blocks:
-            bg.advance(int(skip_blocks))
-        return bg
-
     def uniform_rows(self, step: int, start: int, stop: int, width: int,
                      context: int = 0) -> np.ndarray:
         """Uniform draws in (0, 1) for particles ``start..stop-1`` at one step.
@@ -60,12 +57,21 @@ class RngStream:
         """
         if stop <= start:
             return np.empty((0, width))
-        stride = _row_stride(width)
-        bg = self._bitgen(step, context, int(start) * stride // _BLOCK)
-        flat = np.random.Generator(bg).random((stop - start) * stride)
-        rows = flat.reshape(stop - start, stride)[:, :width]
+        start = int(start)
+        key = np.array([self.seed & _MASK64, _KEY_PAD], dtype=np.uint64)
+        out = np.empty((width, stop - start))
+        for c in range(width):
+            counter = np.array([0, context & _MASK64, step & _MASK64, c + 1],
+                               dtype=np.uint64)
+            bg = np.random.Philox(key=key, counter=counter)
+            bg.advance(start // _BLOCK)
+            gen = np.random.Generator(bg)
+            if start % _BLOCK:
+                gen.random(start % _BLOCK)
+            gen.random(out=out[c])
         # random() lands in [0, 1); clamp away 0 so ndtri stays finite
-        return np.maximum(rows, _U_MIN)
+        np.maximum(out, _U_MIN, out=out)
+        return out.T
 
     def uniform_row(self, step: int, particle: int, width: int,
                     context: int = 0) -> np.ndarray:

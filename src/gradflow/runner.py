@@ -31,7 +31,7 @@ from .optimize import (PreconditionerField, bfgs_stepper, gradient_stepper,
                        preconditioned_stepper, quadratic_mirror_map, run_flow,
                        verify_rates)
 from .potentials import from_identifier
-from .rng import RngStream
+from .rng import RNG_LAYOUT, RngStream
 from .sample import Ensemble, SampleRun, run_sampler
 
 __all__ = ["run_experiment", "compare_files", "AssertionFailure"]
@@ -81,6 +81,7 @@ def run_experiment(cfg: ExperimentConfig, out_root=None, seed_override=None,
         "config": config_to_dict(cfg),
         "seed": cfg.seed,
         "version": __version__,
+        "rng_layout": RNG_LAYOUT,
         "wall_time_s": _time.perf_counter() - started,
         "artifacts": [str(a) for a in artifacts],
     }
@@ -149,8 +150,8 @@ def _initial_ensemble(cfg, potential) -> Ensemble:
     rng = RngStream(cfg.seed)
     spec = cfg.init
     j = cfg.particles
-    if isinstance(spec, list):  # a single point: all particles start there
-        return Ensemble.at_points(rng, j, [spec])
+    if isinstance(spec, list):  # one point, or a list of points as kind: points
+        return Ensemble.at_points(rng, j, spec if isinstance(spec[0], list) else [spec])
     kind = spec.get("kind")
     if kind == "points":
         return Ensemble.at_points(rng, j, spec["points"])

@@ -233,6 +233,110 @@ def test_good_points_and_cov_parse_as_floats():
                         "cov": [[2.0, 0.5], [0.5, 1.0]]}
 
 
+# --- validation against the problem's dimension ---------------------------------
+
+SAMPLER_1D = """\
+problem: double_well
+method: ula
+tau: 0.01
+steps: 10
+seed: 1
+particles: 4
+"""
+
+GRID_2D = """\
+problem: quadratic:0.5,1.0
+method: fpe
+dt: 1.0e-3
+steps: 10
+grid: {lo: -3.0, hi: 3.0, n: 50}
+init: {kind: gibbs}
+"""
+
+
+def _rejected_by_validate_and_run(tmp_path, capsys, text, message):
+    cfg_path = tmp_path / "exp.yaml"
+    cfg_path.write_text(text)
+    assert main(["validate", str(cfg_path)]) == 2
+    assert main(["run", str(cfg_path), "--out-root", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"config error: {message}") == 2, err
+
+
+def test_sampler_reads_a_list_of_points_as_points(tmp_path, capsys):
+    text = SAMPLER_1D.replace("steps: 10", "steps: 0") + (
+        "init: [[-1.0], [1.0]]\noutputs:\n  - {kind: samples, path: s.csv}\n")
+    cfg_path = tmp_path / "exp.yaml"
+    cfg_path.write_text(text)
+    assert main(["validate", str(cfg_path)]) == 0
+    assert main(["run", str(cfg_path), "--out-root", str(tmp_path)]) == 0
+    lines = (tmp_path / "s.csv").read_text().splitlines()[1:]
+    assert [float(line.split(",")[3]) for line in lines] == [-1.0, 1.0, -1.0, 1.0]
+
+
+def test_gaussian_mean_of_the_wrong_dimension(tmp_path, capsys):
+    text = SAMPLER_1D + "init: {kind: gaussian, mean: [0.0, 0.0], var: 1.0}\n"
+    _rejected_by_validate_and_run(
+        tmp_path, capsys, text, "line 7: mean has 2 coordinate(s) but the problem is 1-D")
+
+
+def test_points_of_the_wrong_dimension(tmp_path, capsys):
+    text = SAMPLER_1D + "init:\n  kind: points\n  points: [[0.0, 1.0], [1.0, 0.0]]\n"
+    _rejected_by_validate_and_run(
+        tmp_path, capsys, text,
+        "line 9: each point has 2 coordinate(s) but the problem is 1-D")
+
+
+def test_grid_method_on_a_2d_problem(tmp_path, capsys):
+    _rejected_by_validate_and_run(
+        tmp_path, capsys, GRID_2D,
+        "line 1: method 'fpe' needs a 1-D problem; 'quadratic:0.5,1.0' is 2-D")
+
+
+def test_histograms_and_metrics_on_a_2d_problem(tmp_path, capsys):
+    text = TINY_ULA.replace("quadratic:0.5", "quadratic:0.5,1.0").replace(
+        "mean: [0.0]", "mean: [0.0, 0.0]")
+    _rejected_by_validate_and_run(
+        tmp_path, capsys, text,
+        "line 16: histograms and metrics need a 1-D problem; 'quadratic:0.5,1.0' is 2-D")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text, resolve_problem=True)
+    assert [line[:8] for line in err.value.errors] == ["line 16:", "line 18:"]
+    assert parse_config(text).init["mean"] == [0.0, 0.0]  # structure alone is fine
+
+
+@pytest.mark.parametrize("text,message", [
+    (MINIMAL_GD.replace("init: [0.5]", "init: [0.5, 1.0]"),
+     "line 5: init point has 2 coordinate(s) but the problem is 1-D"),
+    (MINIMAL_GD.replace("init: [0.5]", "init: [[0.5, 1.0]]"),
+     "line 5: each init point has 2 coordinate(s) but the problem is 1-D"),
+    (MINIMAL_GD.replace("double_well", "quadratic:0.5,1.0").replace(
+        "init: [0.5]", "init: [0.5, 1.0]\nassertions:\n"
+        "  - {check: endpoint_near, point: [0.0], tol: 1.0}"),
+     "line 7: point has 1 coordinate(s) but the problem is 2-D"),
+    (MINIMAL_GD.replace("init: [0.5]", "init: {kind: gibbs}"),
+     "line 5: init 'gibbs' is not valid for method 'gd' (allowed: list)"),
+    (SAMPLER_1D + "init: {kind: gibbs}\n",
+     "line 7: init 'gibbs' is not valid for method 'ula' (allowed: list, gaussian, points)"),
+    (GRID_2D.replace("quadratic:0.5,1.0", "quadratic:0.5").replace(
+        "init: {kind: gibbs}", "init: [0.5]"),
+     "line 6: init 'list' is not valid for method 'fpe' (allowed: gaussian, gibbs)"),
+])
+def test_points_and_init_forms_checked_against_problem_and_method(
+        tmp_path, capsys, text, message):
+    _rejected_by_validate_and_run(tmp_path, capsys, text, message)
+
+
+def test_an_unknown_problem_still_fails_validate_at_runtime_exit(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.yaml"
+    cfg_path.write_text(MINIMAL_GD.replace("double_well", "double_wel"))
+    assert main(["validate", str(cfg_path)]) == 3
+    assert "unknown potential 'double_wel'" in capsys.readouterr().err
+    # other config errors come first, as exit 2
+    cfg_path.write_text(MINIMAL_GD.replace("double_well", "double_wel") + "bogus: 1\n")
+    assert main(["validate", str(cfg_path)]) == 2
+
+
 # --- runner: deterministic recipe -------------------------------------------------
 
 def test_fig2_recipe_endpoints(tmp_path):

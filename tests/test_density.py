@@ -128,6 +128,16 @@ def test_kde_column_input_equals_the_line():
     assert np.array_equal(kde(samples[:, None], [0.4], points[:, None]), line)
 
 
+def test_kde_far_from_the_origin_matches_direct_differences():
+    # scaled points near 5e6: expanding |a-b|^2 on raw points cancels badly
+    rng = np.random.default_rng(7)
+    samples = 1e4 + rng.uniform(-0.01, 0.01, 200)
+    h = 0.002
+    z = (samples[:, None] - samples[None, :]) / h
+    want = np.exp(-0.5 * z**2).mean(axis=1) / (h * np.sqrt(2 * np.pi))
+    assert np.allclose(kde(samples, h, samples), want, rtol=1e-12, atol=0)
+
+
 # --- bandwidth --------------------------------------------------------------------
 
 def test_silverman_formula_and_scaling():
