@@ -60,12 +60,17 @@ class RngStream:
         start = int(start)
         key = np.array([self.seed & _MASK64, _KEY_PAD], dtype=np.uint64)
         out = np.empty((width, stop - start))
+        # one bit generator, re-pointed at each column's stream: building a
+        # Philox costs more than drawing a single row from it
+        bg = np.random.Philox(key=key)
+        gen = np.random.Generator(bg)
+        state = bg.state
         for c in range(width):
-            counter = np.array([0, context & _MASK64, step & _MASK64, c + 1],
-                               dtype=np.uint64)
-            bg = np.random.Philox(key=key, counter=counter)
+            state["state"]["counter"] = np.array(
+                [0, context & _MASK64, step & _MASK64, c + 1], dtype=np.uint64)
+            state["buffer_pos"] = _BLOCK  # empty buffer: next draw starts a block
+            bg.state = state
             bg.advance(start // _BLOCK)
-            gen = np.random.Generator(bg)
             if start % _BLOCK:
                 gen.random(start % _BLOCK)
             gen.random(out=out[c])

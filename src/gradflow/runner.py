@@ -356,8 +356,8 @@ def compare_files(path_a, path_b, metric: str) -> float:
     """Metric between two artifact files.
 
     ``tv``, ``kl``, ``l2pinv`` expect density CSVs on a common grid;
-    ``w2`` expects samples CSVs and compares the final recorded step of
-    each (1-D).
+    ``w2`` expects 1-D samples CSVs (one ``theta`` column; more raise
+    ``ValueError``) and compares the final recorded step of each.
     """
     if metric in ("tv", "kl", "l2pinv"):
         a = read_density_csv(path_a)
@@ -371,5 +371,9 @@ def compare_files(path_a, path_b, metric: str) -> float:
         from .density import wasserstein1d
         sa, ta = read_samples_csv(path_a)
         sb, tb = read_samples_csv(path_b)
+        for path, thetas in ((path_a, ta), (path_b, tb)):
+            if thetas.shape[1] != 1:
+                raise ValueError(f"{path}: w2 compares 1-D samples, this file "
+                                 f"has {thetas.shape[1]} theta columns")
         return wasserstein1d(ta[sa == sa.max(), 0], tb[sb == sb.max(), 0])
     raise ValueError(f"unknown metric {metric!r} (choose tv, kl, l2pinv, w2)")

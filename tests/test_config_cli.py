@@ -1,5 +1,6 @@
 """Config parsing, experiment runner artifacts, and the CLI surface."""
 
+import csv
 import json
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 
 from gradflow.cli import main
 from gradflow.config import parse_config, serialize_config
+from gradflow.density import wasserstein1d
 from gradflow.errors import ConfigError
 from gradflow.runner import AssertionFailure, compare_files, run_experiment
 
@@ -514,3 +516,46 @@ def test_trajectory_csv_round_trips_floats(tmp_path):
     # 17 significant digits: reading the text back reproduces the float
     val = rows[-1].split(",")[2]
     assert f"{float(val):.17g}" == val
+
+
+def _final_step_thetas(path):
+    """The theta_0 column at the last recorded step, read with the csv module."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    last = max(int(r[0]) for r in rows)
+    return np.array([float(r[3]) for r in rows if int(r[0]) == last])
+
+
+def test_compare_w2_on_1d_samples_is_wasserstein_of_final_steps(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.yaml"
+    cfg_path.write_text(TINY_ULA)
+    for seed in ("1", "2"):
+        assert main(["run", str(cfg_path), "--out-root", str(tmp_path / seed),
+                     "--seed", seed]) == 0
+    a, b = str(tmp_path / "1/samples.csv"), str(tmp_path / "2/samples.csv")
+    want = wasserstein1d(_final_step_thetas(a), _final_step_thetas(b))
+    assert want > 0.0
+    assert compare_files(a, b, "w2") == want
+    capsys.readouterr()
+    assert main(["compare", a, b, "--metric", "w2"]) == 0
+    assert capsys.readouterr().out == f"w2 {want:.17g}\n"
+
+
+def test_compare_w2_rejects_multi_coordinate_samples(tmp_path, capsys):
+    text = """\
+problem: quadratic:0.5,2.0
+method: ula
+tau: 0.1
+steps: 20
+seed: 11
+particles: 50
+init: {kind: gaussian, mean: [0.0, 0.0], var: 1.0}
+outputs:
+  - {kind: samples, path: samples.csv}
+"""
+    run_experiment(parse_config(text), out_root=tmp_path)
+    samples = str(tmp_path / "samples.csv")
+    with pytest.raises(ValueError, match="2 theta columns"):
+        compare_files(samples, samples, "w2")
+    assert main(["compare", samples, samples, "--metric", "w2"]) == 3
+    assert "w2 compares 1-D samples" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.stats import norm
 
 from gradflow.density import (Grid1D, GridDensity, kl_divergence, normalize,
@@ -264,3 +265,23 @@ def test_boundary_mass_monitor():
     grid = Grid1D.from_bounds(-8.0, 8.0, 401)
     state = FpeState.initial(OU, gaussian_start(grid, 1.0))
     assert state.boundary_mass() < 1e-10
+
+
+# --- properties: mass and positivity under the stability bound ------------------------
+
+@pytest.mark.parametrize("step_fn", [fpe_step, weighted_fpe_step, bdl_fpe_step],
+                         ids=["plain", "weighted", "birth_death"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), n=st.integers(21, 201), frac=st.floats(1e-3, 1.0),
+       potential=st.sampled_from([OU, make_double_well()]))
+def test_steps_keep_unit_mass_and_nonnegative_values(step_fn, data, n, frac, potential):
+    values = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1e6)),
+                                min_size=n, max_size=n))
+    assume(sum(v > 0.0 for v in values) >= 2)
+    grid = Grid1D.from_bounds(-4.0, 4.0, n)
+    state = FpeState.initial(potential, normalize(values, grid))
+    for _ in range(3):
+        mobility = state.density.variance() if step_fn is weighted_fpe_step else 1.0
+        state = step_fn(state, frac * state.solver.max_stable_dt(mobility))
+        assert abs(state.density.mass() - 1.0) < 1e-12
+        assert np.all(state.density.values >= 0.0)
