@@ -80,7 +80,7 @@ class GridDensity:
         object.__setattr__(self, "values", vals)
         if vals.shape != (self.grid.n,):
             raise ValueError("values length must match grid size")
-        if np.any(vals < 0):
+        if (vals < 0).any():
             raise ValueError("density values must be nonnegative")
 
     def mass(self) -> float:

@@ -82,10 +82,16 @@ class FokkerPlanckSolver1D:
         if dt > dt_max * (1.0 + 1e-12):
             raise StabilityError(dt, dt_max)
         dx = self.grid.dx
-        flux = -mobility * (self._b_minus * values[1:] - self._b_plus * values[:-1]) / dx
+        # In place on one buffer, in the order of (dt/dx) * (-mobility *
+        # (b_minus*v[1:] - b_plus*v[:-1]) / dx); tests pin the bits to that.
+        flux = self._b_minus * values[1:]
+        flux -= self._b_plus * values[:-1]
+        flux *= -mobility
+        flux /= dx
+        flux *= dt / dx
         out = values.copy()
-        out[:-1] -= (dt / dx) * flux
-        out[1:] += (dt / dx) * flux
+        out[:-1] -= flux
+        out[1:] += flux
         return out
 
     def reaction_half_step(self, values: np.ndarray, dt_half: float) -> np.ndarray:
@@ -112,19 +118,30 @@ class FokkerPlanckSolver1D:
 
 @dataclass
 class FpeState:
-    """Density, clock, and mass history of one grid solve."""
+    """Density, clock, and mass history of one grid solve.
+
+    The states of one solve share a single append-only list of masses, and
+    each keeps the length of its own prefix, so a step records its mass in
+    O(1) and ``mass_log`` still reads as that state's own history.
+    """
 
     density: GridDensity
     time: float
     potential: Potential
-    mass_log: List[float] = field(default_factory=list)
     solver: Optional[FokkerPlanckSolver1D] = field(default=None, compare=False)
+    _masses: List[float] = field(default_factory=list, repr=False, compare=False)
+    _n_masses: int = field(default=0, repr=False, compare=False)
 
     @classmethod
     def initial(cls, potential: Potential, density: GridDensity) -> "FpeState":
         solver = FokkerPlanckSolver1D(potential, density.grid)
-        return cls(density=density, time=0.0, potential=potential,
-                   mass_log=[density.mass()], solver=solver)
+        return cls(density=density, time=0.0, potential=potential, solver=solver,
+                   _masses=[density.mass()], _n_masses=1)
+
+    @property
+    def mass_log(self) -> List[float]:
+        """Mass at this state and at every state before it, oldest first."""
+        return self._masses[:self._n_masses]
 
     def _solver(self) -> FokkerPlanckSolver1D:
         if self.solver is None:
@@ -139,8 +156,13 @@ class FpeState:
 
 def _advance(state: FpeState, new_values: np.ndarray, dt: float) -> FpeState:
     dens = GridDensity(grid=state.density.grid, values=new_values)
+    masses = state._masses
+    if len(masses) != state._n_masses:
+        # Stepping from an older state: branch off a copy of its own history.
+        masses = masses[:state._n_masses]
+    masses.append(dens.mass())
     return FpeState(density=dens, time=state.time + dt, potential=state.potential,
-                    mass_log=state.mass_log + [dens.mass()], solver=state.solver)
+                    solver=state.solver, _masses=masses, _n_masses=len(masses))
 
 
 def fpe_step(state: FpeState, dt: float) -> FpeState:

@@ -54,6 +54,13 @@ def test_normalize_rejects_zero_and_negative():
         GridDensity(grid=grid, values=-np.ones(10))
 
 
+def test_grid_density_rejects_a_negative_value_beside_a_nan():
+    # a min()-based check would miss this: nan.min() is nan, and nan < 0 is False
+    grid = Grid1D.from_bounds(0.0, 1.0, 10)
+    with pytest.raises(ValueError, match="nonnegative"):
+        GridDensity(grid=grid, values=[np.nan, -1.0] + [1.0] * 8)
+
+
 # --- histogram -----------------------------------------------------------------
 
 def test_histogram_single_bin():

@@ -115,6 +115,26 @@ def test_mass_conserved_and_nonnegative():
         assert np.all(state.density.values >= 0.0)
 
 
+def test_mass_log_is_each_states_own_history():
+    grid = Grid1D.from_bounds(-4.0, 4.0, 81)
+    s0 = FpeState.initial(OU, gaussian_start(grid, 2.0))
+    dt = 0.5 * s0.solver.max_stable_dt()
+    s1 = fpe_step(s0, dt)
+    s1_log = list(s1.mass_log)
+    s2 = fpe_step(s1, dt)
+    s2_log = list(s2.mass_log)
+    s2b = fpe_step(s1, 0.5 * dt)  # a branch from an older state
+    fpe_step(s2, dt)
+    fpe_step(s2b, dt)
+    states = (s0, s1, s2, s2b)
+    assert [len(s.mass_log) for s in states] == [1, 2, 3, 3]
+    for s in states:
+        assert s.mass_log[-1] == s.density.mass()
+    assert s1.mass_log == s1_log
+    assert s2.mass_log == s2_log
+    assert s2b.mass_log[:2] == s1_log
+
+
 def test_stability_error_names_admissible_dt():
     grid = Grid1D.from_bounds(-3.0, 3.0, 151)
     state = FpeState.initial(OU, gaussian_start(grid, 1.0))
@@ -285,3 +305,44 @@ def test_steps_keep_unit_mass_and_nonnegative_values(step_fn, data, n, frac, pot
         state = step_fn(state, frac * state.solver.max_stable_dt(mobility))
         assert abs(state.density.mass() - 1.0) < 1e-12
         assert np.all(state.density.values >= 0.0)
+
+
+# --- properties: bits of the flux kernel and stationarity of the Gibbs state ----------
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), n=st.integers(21, 201), frac=st.floats(1e-3, 1.0),
+       mobility=st.one_of(st.just(1.0), st.floats(1e-2, 10.0)),
+       potential=st.sampled_from([OU, make_double_well()]))
+def test_flux_kernel_bits_match_the_reference_expression(data, n, frac, mobility,
+                                                          potential):
+    v = np.array(data.draw(st.lists(st.floats(0.0, 1e6), min_size=n, max_size=n)))
+    solver = FokkerPlanckSolver1D(potential, Grid1D.from_bounds(-4.0, 4.0, n))
+    dt = frac * solver.max_stable_dt(mobility)
+    dx = solver.grid.dx
+    flux = -mobility * (solver._b_minus * v[1:] - solver._b_plus * v[:-1]) / dx
+    expected = v.copy()
+    expected[:-1] -= (dt / dx) * flux
+    expected[1:] += (dt / dx) * flux
+    got = solver.drift_diffusion_step(v, dt, mobility=mobility)
+    assert got.tobytes() == expected.tobytes()
+
+
+def two_modes_at_1_5():
+    return make_gaussian_mixture([(0.5, GaussianSpec([-1.5], [[0.25]])),
+                                  (0.5, GaussianSpec([1.5], [[0.25]]))])
+
+
+@pytest.mark.parametrize("step_fn", [fpe_step, weighted_fpe_step, bdl_fpe_step],
+                         ids=["plain", "weighted", "birth_death"])
+@settings(max_examples=10, deadline=None)
+@given(potential=st.one_of(st.floats(0.1, 4.0).map(lambda a: make_quadratic([a])),
+                           st.just(make_double_well()), st.just(two_modes_at_1_5())),
+       n=st.integers(21, 201), frac=st.floats(1e-3, 1.0))
+def test_gibbs_state_stays_put_for_twenty_steps(step_fn, potential, n, frac):
+    solver = FokkerPlanckSolver1D(potential, Grid1D.from_bounds(-4.0, 4.0, n))
+    pi = solver.target()
+    state = FpeState.initial(potential, pi)
+    for _ in range(20):
+        mobility = state.density.variance() if step_fn is weighted_fpe_step else 1.0
+        state = step_fn(state, frac * state.solver.max_stable_dt(mobility))
+    assert tv_distance(state.density, pi) < 1e-10
