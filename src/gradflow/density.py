@@ -83,6 +83,14 @@ class GridDensity:
         if (vals < 0).any():
             raise ValueError("density values must be nonnegative")
 
+    def __eq__(self, other):
+        # the generated __eq__ compares ``values`` inside a tuple, which
+        # raises on arrays of more than one element
+        if not isinstance(other, GridDensity):
+            return NotImplemented
+        return (self.grid == other.grid and self.log_norm == other.log_norm
+                and np.array_equal(self.values, other.values))
+
     def mass(self) -> float:
         return float(self.values.sum() * self.grid.dx)
 

@@ -171,13 +171,15 @@ def fpe_step(state: FpeState, dt: float) -> FpeState:
     return _advance(state, solver.drift_diffusion_step(state.density.values, dt), dt)
 
 
-def weighted_fpe_step(state: FpeState, dt: float) -> FpeState:
+def weighted_fpe_step(state: FpeState, dt: float,
+                      variance: Optional[float] = None) -> FpeState:
     """Step with mobility equal to the current variance of the density.
 
-    The nonlinearity is frozen within the step (the variance is recomputed
-    each call); with unit variance the step coincides with ``fpe_step``.
+    The nonlinearity is frozen within the step; with unit variance the step
+    coincides with ``fpe_step``.  ``variance`` is ``state.density.variance()``
+    when the caller has already computed it, and is computed here otherwise.
     """
-    var = state.density.variance()
+    var = state.density.variance() if variance is None else variance
     if var < 1e-12:
         raise ValueError(f"density has collapsed (variance {var:.3e}); mobility undefined")
     solver = state._solver()

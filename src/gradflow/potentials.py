@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.special import logsumexp
 
 __all__ = [
     "Potential",
@@ -196,6 +194,10 @@ def make_gaussian_posterior(prior: GaussianSpec, design, noise_cov, data):
     Returns ``(potential, posterior)`` where ``posterior`` is the conjugate
     Gaussian, for use as an oracle in sampler checks.
     """
+    # imported here, not at module level, so runs on other problems never
+    # load scipy.linalg (likewise scipy.special in make_gaussian_mixture)
+    from scipy.linalg import cho_factor, cho_solve
+
     a_mat = np.atleast_2d(np.asarray(design, dtype=float))
     y = np.atleast_1d(np.asarray(data, dtype=float))
     sn = np.atleast_2d(np.asarray(noise_cov, dtype=float))
@@ -259,6 +261,8 @@ def make_gaussian_mixture(components: Sequence) -> Potential:
     weights summing to one.  The gradient weights each component's
     precision-whitened displacement by its responsibility.
     """
+    from scipy.special import logsumexp
+
     comps = list(components)
     if not comps:
         raise ValueError("mixture needs at least one component")

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 _MASK64 = (1 << 64) - 1
 # second key word decorrelates small seeds; any fixed odd constant works
@@ -35,6 +34,16 @@ _BLOCK = 4
 _U_MIN = 2.0**-64
 # the random-stream layout version, recorded in every run manifest
 RNG_LAYOUT = 2
+
+
+def ndtri(u):
+    """Inverse standard normal CDF, ``scipy.special.ndtri``.
+
+    scipy is imported on the first call, so a process that draws no
+    Gaussians never loads it.
+    """
+    from scipy.special import ndtri as _ndtri
+    return _ndtri(u)
 
 
 @dataclass(frozen=True)

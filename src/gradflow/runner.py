@@ -281,11 +281,13 @@ def _run_grid(cfg, potential, out_root, artifacts):
     snapshots = {0.0: state}
     for t_target in out_times:
         while state.time < t_target - 1e-12:
-            mobility = 1.0
+            mobility, extra = 1.0, {}
             if cfg.method == "fpe_weighted":
-                mobility = max(state.density.variance(), 1e-12)
+                # one variance pass bounds dt and sets the step's mobility
+                var = state.density.variance()
+                mobility, extra = max(var, 1e-12), {"variance": var}
             dt = min(cfg.tau, solver.max_stable_dt(mobility), t_target - state.time)
-            state = step_fn(state, dt)
+            state = step_fn(state, dt, **extra)
         snapshots[t_target] = state
 
     target = solver.target()

@@ -22,12 +22,11 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.special import ndtri
 
 from .density import kde, silverman_bandwidth
 from .errors import DivergenceError, PreconditionerError
 from .potentials import Potential
-from .rng import RngStream
+from .rng import RngStream, ndtri
 
 __all__ = [
     "Ensemble",

@@ -6,9 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
 
 from gradflow.cli import main
-from gradflow.config import parse_config, serialize_config
+from gradflow.config import (DETERMINISTIC_METHODS, GRID_METHODS, STOCHASTIC_METHODS,
+                             parse_config, serialize_config)
 from gradflow.density import wasserstein1d
 from gradflow.errors import ConfigError
 from gradflow.runner import AssertionFailure, compare_files, run_experiment
@@ -125,6 +128,109 @@ def test_round_trip_parse_serialize_parse():
         cfg = parse_config(text)
         again = parse_config(serialize_config(cfg))
         assert cfg == again
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def _configs(draw):
+    """YAML text of a valid config: any method, tau or dt, steps or time,
+    every init form its family runs, outputs and assertions."""
+    method = draw(st.sampled_from(DETERMINISTIC_METHODS + STOCHASTIC_METHODS
+                                  + GRID_METHODS))
+    family = ("deterministic" if method in DETERMINISTIC_METHODS
+              else "stochastic" if method in STOCHASTIC_METHODS else "grid")
+    tau = draw(st.floats(min_value=1e-4, max_value=1.0))
+    doc = {"problem": draw(st.sampled_from(
+               ["double_well", "quadratic:0.5,2.0", "mixture:0.5,-2.0,0.5;0.5,2.0,0.5"])),
+           "method": method,
+           draw(st.sampled_from(["tau", "dt"])): tau}
+    if draw(st.booleans()):
+        doc["steps"] = n_steps = draw(st.integers(0, 10_000))
+    else:
+        doc["time"] = draw(st.floats(min_value=1e-3, max_value=100.0))
+        n_steps = max(0, int(round(doc["time"] / tau)))
+
+    def a_time():
+        # a sampler records whole steps; other families take any time
+        if family == "stochastic":
+            return draw(st.integers(0, n_steps)) * tau
+        return draw(st.floats(min_value=0.0, max_value=100.0))
+
+    dim = draw(st.integers(1, 3))
+    point = st.lists(FINITE, min_size=dim, max_size=dim)
+    init_kind = draw(st.sampled_from({"deterministic": ["point", "list"],
+                                      "stochastic": ["point", "list", "gaussian", "points"],
+                                      "grid": ["gaussian", "gibbs"]}[family]))
+    if init_kind == "point":
+        doc["init"] = draw(point)
+    elif init_kind == "list":
+        doc["init"] = draw(st.lists(point, min_size=1, max_size=4))
+    elif init_kind == "points":
+        doc["init"] = {"kind": "points", "points": draw(st.lists(point, min_size=1,
+                                                                 max_size=4))}
+    elif init_kind == "gibbs":
+        doc["init"] = {"kind": "gibbs"}
+    else:
+        mean = draw(point)
+        doc["init"] = {"kind": "gaussian", "mean": mean[0] if dim == 1 and
+                       draw(st.booleans()) else mean}
+        if draw(st.booleans()):
+            doc["init"]["var"] = draw(POSITIVE)
+        else:
+            diag = draw(st.lists(st.floats(1e-3, 1e3), min_size=dim, max_size=dim))
+            doc["init"]["cov"] = np.diag(diag).tolist()
+    if family == "stochastic":
+        doc["seed"] = draw(st.integers(0, 2**64 - 1))
+        doc["particles"] = draw(st.integers(1, 10**6))
+        doc["bandwidth"] = draw(st.one_of(st.just("auto"), POSITIVE))
+    if family != "deterministic" or draw(st.booleans()):
+        lo, hi = sorted(draw(st.lists(FINITE, min_size=2, max_size=2, unique=True)))
+        doc["grid"] = {"lo": lo, "hi": hi, "n": draw(st.integers(2, 5000))}
+    if method == "mirror":
+        doc["mirror_map"] = draw(st.sampled_from(["quadratic", "negative_entropy"]))
+    if method in ("newton", "bfgs") and draw(st.booleans()):
+        doc["ridge"] = draw(st.floats(min_value=0.0, max_value=1e3))
+    for key in ("thin", "workers"):
+        if draw(st.booleans()):
+            doc[key] = draw(st.integers(1, 100))
+
+    kinds = {"deterministic": ["trajectory", "rates"],
+             "stochastic": ["samples", "histogram", "metrics", "stats"],
+             "grid": ["density", "metrics", "rates"]}[family]
+    outputs = []
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=4)):
+        out = {"kind": kind, "path": draw(st.sampled_from(
+            ["out.csv", "runs/{i}/t.csv", "h_t{t}.csv", "yes", "1.5", "a b.txt"]))}
+        if kind in ("histogram", "density", "metrics") and draw(st.booleans()):
+            out["times"] = [a_time() for _ in range(draw(st.integers(1, 3)))]
+        outputs.append(out)
+    if outputs:
+        doc["outputs"] = outputs
+    assertions = []
+    for check in draw(st.lists(st.sampled_from(
+            ["endpoint_near", "metric_max", "metric_monotone"]), max_size=3)):
+        if check == "endpoint_near":
+            assertions.append({"check": check, "point": draw(point), "tol": draw(POSITIVE)})
+        elif check == "metric_max":
+            assertions.append({"check": check, "metric": draw(st.sampled_from(
+                ["tv", "kl", "l2pinv"])), "time": a_time(), "max": draw(FINITE)})
+        else:
+            assertions.append({"check": check, "metric": "kl"})
+    if assertions:
+        doc["assertions"] = assertions
+    if draw(st.booleans()):
+        doc["manifest"] = draw(st.sampled_from(["m.json", "runs/manifest.json"]))
+    return yaml.safe_dump(doc, sort_keys=draw(st.booleans()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_configs())
+def test_serialize_then_parse_returns_the_same_config(text):
+    cfg = parse_config(text)
+    assert parse_config(serialize_config(cfg)) == cfg
 
 
 def test_duplicate_key_rejected():

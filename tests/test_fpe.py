@@ -5,6 +5,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.stats import norm
 
+from gradflow.artifacts import write_density_csv
+from gradflow.config import parse_config
 from gradflow.density import (Grid1D, GridDensity, kl_divergence, normalize,
                               tv_distance)
 from gradflow.errors import StabilityError
@@ -12,6 +14,7 @@ from gradflow.fpe import (FokkerPlanckSolver1D, FpeState, bdl_fpe_step,
                           decay_report, fpe_step, weighted_fpe_step)
 from gradflow.potentials import (GaussianSpec, Potential, make_double_well,
                                  make_gaussian_mixture, make_quadratic)
+from gradflow.runner import run_experiment
 
 OU = make_quadratic([0.5])  # V = theta^2/2, target N(0, 1)
 
@@ -135,6 +138,24 @@ def test_mass_log_is_each_states_own_history():
     assert s2b.mass_log[:2] == s1_log
 
 
+def test_grid_density_and_fpe_state_compare_by_value():
+    grid = Grid1D.from_bounds(-4.0, 4.0, 41)
+    a = gaussian_start(grid, 2.0)
+    same = GridDensity(grid=grid, values=a.values.copy(), log_norm=a.log_norm)
+    assert a == same and not a != same
+    assert a != GridDensity(grid=grid, values=2.0 * a.values, log_norm=a.log_norm)
+    assert a != GridDensity(grid=grid, values=a.values)  # no log_norm
+    assert a != GridDensity(grid=Grid1D.from_bounds(-4.0, 4.1, 41), values=a.values,
+                            log_norm=a.log_norm)
+    assert a != "not a density"
+    s0 = FpeState.initial(OU, a)
+    s1 = fpe_step(s0, 0.5 * s0.solver.max_stable_dt())
+    assert s1 != s0
+    assert s0 == FpeState(density=same, time=0.0, potential=OU)
+    assert s1 == FpeState(density=GridDensity(grid=grid, values=s1.density.values.copy()),
+                          time=s1.time, potential=OU)
+
+
 def test_stability_error_names_admissible_dt():
     grid = Grid1D.from_bounds(-3.0, 3.0, 151)
     state = FpeState.initial(OU, gaussian_start(grid, 1.0))
@@ -175,6 +196,49 @@ def test_weighted_kl_monotone_on_ou():
         now = kl_divergence(state.density, pi)
         assert now <= last + 1e-12
         last = now
+
+
+DOUBLE_WELL_WEIGHTED = """\
+problem: double_well
+method: fpe_weighted
+tau: 0.002
+time: 0.4
+grid: {lo: -3.0, hi: 3.0, n: 121}
+init: {kind: gaussian, mean: 0.7, var: 0.2}
+outputs:
+  - {kind: density, path: "density_t{t}.csv", times: [0.1, 0.4]}
+"""
+
+
+def test_weighted_run_bytes_match_the_two_pass_loop(tmp_path):
+    # the runner computes each step's variance once, for the dt bound and
+    # the mobility; its densities keep the bytes of the loop that computed
+    # it twice, once in the runner and once in the step
+    run_experiment(parse_config(DOUBLE_WELL_WEIGHTED), out_root=tmp_path / "run")
+    dw = make_double_well()
+    grid = Grid1D.from_bounds(-3.0, 3.0, 121)
+    x = grid.centers()
+    state = FpeState.initial(dw, normalize(np.exp(-((x - 0.7) ** 2) / (2.0 * 0.2)), grid))
+    for t_target in (0.1, 0.4):
+        while state.time < t_target - 1e-12:
+            mobility = max(state.density.variance(), 1e-12)
+            dt = min(0.002, state.solver.max_stable_dt(mobility), t_target - state.time)
+            state = weighted_fpe_step(state, dt)
+        want = tmp_path / f"want_{t_target}.csv"
+        write_density_csv(want, state.density)
+        got = tmp_path / "run" / f"density_t{t_target}.csv"
+        assert got.read_bytes() == want.read_bytes()
+    assert state.time == pytest.approx(0.4)
+
+
+def test_weighted_step_with_a_given_variance_is_the_same_step():
+    grid = Grid1D.from_bounds(-3.0, 3.0, 121)
+    state = FpeState.initial(make_double_well(), gaussian_start(grid, 0.5))
+    dt = 0.5 * state.solver.max_stable_dt(state.density.variance())
+    computed = weighted_fpe_step(state, dt)
+    given_var = weighted_fpe_step(state, dt, state.density.variance())
+    assert computed.density.values.tobytes() == given_var.density.values.tobytes()
+    assert computed == given_var
 
 
 def test_weighted_rejects_collapsed_density():
