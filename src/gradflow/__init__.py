@@ -27,5 +27,5 @@ from .potentials import (GaussianSpec, Potential, estimate_pl_constant,
 from .rng import RngStream
 from .sample import (ChainStats, Ensemble, SampleRun, bdl_step,
                      ensemble_covariance, ensemble_langevin_step,
-                     integrated_autocorr_time, mala_acceptance, mala_step,
-                     mala_transition, run_sampler, ula_step)
+                     integrated_autocorr_time, mala_acceptance, run_sampler,
+                     ula_step)

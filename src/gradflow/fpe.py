@@ -12,7 +12,7 @@ Strang-split reaction term that exchanges mass toward the target.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -116,37 +116,22 @@ class FokkerPlanckSolver1D:
         return out / mass
 
 
-@dataclass
+@dataclass(frozen=True)
 class FpeState:
-    """Density, clock, and mass history of one grid solve.
+    """Density and clock of one grid solve, with the solver that steps it.
 
-    The states of one solve share a single append-only list of masses, and
-    each keeps the length of its own prefix, so a step records its mass in
-    O(1) and ``mass_log`` still reads as that state's own history.
+    States compare by density and time; every state of a solve carries
+    the same solver, and its potential is ``solver.potential``.
     """
 
     density: GridDensity
     time: float
-    potential: Potential
-    solver: Optional[FokkerPlanckSolver1D] = field(default=None, compare=False)
-    _masses: List[float] = field(default_factory=list, repr=False, compare=False)
-    _n_masses: int = field(default=0, repr=False, compare=False)
+    solver: FokkerPlanckSolver1D = field(compare=False)
 
     @classmethod
     def initial(cls, potential: Potential, density: GridDensity) -> "FpeState":
         solver = FokkerPlanckSolver1D(potential, density.grid)
-        return cls(density=density, time=0.0, potential=potential, solver=solver,
-                   _masses=[density.mass()], _n_masses=1)
-
-    @property
-    def mass_log(self) -> List[float]:
-        """Mass at this state and at every state before it, oldest first."""
-        return self._masses[:self._n_masses]
-
-    def _solver(self) -> FokkerPlanckSolver1D:
-        if self.solver is None:
-            self.solver = FokkerPlanckSolver1D(self.potential, self.density.grid)
-        return self.solver
+        return cls(density=density, time=0.0, solver=solver)
 
     def boundary_mass(self) -> float:
         """Mass in the outermost cells; a monitor for domain-truncation error."""
@@ -155,20 +140,13 @@ class FpeState:
 
 
 def _advance(state: FpeState, new_values: np.ndarray, dt: float) -> FpeState:
-    dens = GridDensity(grid=state.density.grid, values=new_values)
-    masses = state._masses
-    if len(masses) != state._n_masses:
-        # Stepping from an older state: branch off a copy of its own history.
-        masses = masses[:state._n_masses]
-    masses.append(dens.mass())
-    return FpeState(density=dens, time=state.time + dt, potential=state.potential,
-                    solver=state.solver, _masses=masses, _n_masses=len(masses))
+    return FpeState(density=GridDensity(grid=state.density.grid, values=new_values),
+                    time=state.time + dt, solver=state.solver)
 
 
 def fpe_step(state: FpeState, dt: float) -> FpeState:
     """Unit-mobility drift-diffusion step toward the Gibbs target."""
-    solver = state._solver()
-    return _advance(state, solver.drift_diffusion_step(state.density.values, dt), dt)
+    return _advance(state, state.solver.drift_diffusion_step(state.density.values, dt), dt)
 
 
 def weighted_fpe_step(state: FpeState, dt: float,
@@ -182,14 +160,13 @@ def weighted_fpe_step(state: FpeState, dt: float,
     var = state.density.variance() if variance is None else variance
     if var < 1e-12:
         raise ValueError(f"density has collapsed (variance {var:.3e}); mobility undefined")
-    solver = state._solver()
-    values = solver.drift_diffusion_step(state.density.values, dt, mobility=var)
+    values = state.solver.drift_diffusion_step(state.density.values, dt, mobility=var)
     return _advance(state, values, dt)
 
 
 def bdl_fpe_step(state: FpeState, dt: float) -> FpeState:
     """Strang splitting: half reaction, full drift-diffusion, half reaction."""
-    solver = state._solver()
+    solver = state.solver
     values = solver.reaction_half_step(state.density.values, 0.5 * dt)
     values = solver.drift_diffusion_step(values, dt)
     values = solver.reaction_half_step(values, 0.5 * dt)

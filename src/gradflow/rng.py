@@ -6,7 +6,8 @@ state.  Consequences:
 
 * identical (seed, particle, step) always yield identical draws,
 * any partition of particles across workers produces identical output,
-* per-particle rows are exact slices of the vectorized per-step block.
+* per-particle rows are exact slices of the vectorized per-step block:
+  particle ``i``'s row is ``uniform_rows(step, i, i + 1, width)[0]``.
 
 Random-stream layout 2 (``RNG_LAYOUT``): column ``c`` of step ``k`` in
 context ``ctx`` is its own Philox stream, key ``(seed, _KEY_PAD)`` and
@@ -61,8 +62,9 @@ class RngStream:
         """Uniform draws in (0, 1) for particles ``start..stop-1`` at one step.
 
         Returns an array of shape ``(stop - start, width)``.  Row ``i`` of the
-        full block (``start=0, stop=J``) equals ``uniform_row(step, i, width)``
-        bit for bit, whatever the chunking.
+        full block (``start=0, stop=J``) equals the one-row slice
+        ``uniform_rows(step, i, i + 1, width)[0]`` bit for bit, and any
+        chunking of ``0..J`` concatenates to the full block.
         """
         if stop <= start:
             return np.empty((0, width))
@@ -87,15 +89,7 @@ class RngStream:
         np.maximum(out, _U_MIN, out=out)
         return out.T
 
-    def uniform_row(self, step: int, particle: int, width: int,
-                    context: int = 0) -> np.ndarray:
-        return self.uniform_rows(step, particle, particle + 1, width, context)[0]
-
     def normal_rows(self, step: int, start: int, stop: int, width: int,
                     context: int = 0) -> np.ndarray:
-        """Standard Gaussian draws, one inverse-CDF transform per uniform."""
+        """Standard Gaussians: ``ndtri`` of ``uniform_rows`` at the same address."""
         return ndtri(self.uniform_rows(step, start, stop, width, context))
-
-    def normal_row(self, step: int, particle: int, width: int,
-                   context: int = 0) -> np.ndarray:
-        return self.normal_rows(step, particle, particle + 1, width, context)[0]

@@ -132,16 +132,11 @@ def _run_deterministic(cfg, potential, out_root, artifacts, endpoint_states):
 
 def _indexed_path(template: str, index: int, total: int, out_root) -> Path:
     if "{i}" in template:
-        return _ensure_dir(_resolve(template.replace("{i}", str(index)), out_root))
+        return _resolve(template.replace("{i}", str(index)), out_root)
     if total > 1:
         raise GradflowError(
             f"output path {template!r} needs a '{{i}}' placeholder for {total} runs")
-    return _ensure_dir(_resolve(template, out_root))
-
-
-def _ensure_dir(path: Path) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return path
+    return _resolve(template, out_root)
 
 
 # --- stochastic samplers ------------------------------------------------------
@@ -212,7 +207,7 @@ def _run_stochastic(cfg, potential, out_root, artifacts):
             keep = (run.steps % cfg.thin == 0) | (run.steps == n_steps)
             thinned = SampleRun(times=run.times[keep], steps=run.steps[keep],
                                 states=run.states[keep], stats=run.stats)
-            path = _ensure_dir(_resolve(spec.path, out_root))
+            path = _resolve(spec.path, out_root)
             write_samples_csv(path, thinned)
             artifacts.append(path)
         elif spec.kind == "histogram":
@@ -221,11 +216,11 @@ def _run_stochastic(cfg, potential, out_root, artifacts):
                 write_density_csv(path, hists[t])
                 artifacts.append(path)
         elif spec.kind == "metrics":
-            path = _ensure_dir(_resolve(spec.path, out_root))
+            path = _resolve(spec.path, out_root)
             write_metrics_csv(path, metrics_rows)
             artifacts.append(path)
         elif spec.kind == "stats":
-            path = _ensure_dir(_resolve(spec.path, out_root))
+            path = _resolve(spec.path, out_root)
             write_chain_stats(path, run.stats)
             artifacts.append(path)
     return metrics_rows
@@ -244,11 +239,11 @@ def _metric_rows(t, dens, target):
 
 def _timed_path(template: str, t: float, times, out_root) -> Path:
     if "{t}" in template:
-        return _ensure_dir(_resolve(template.replace("{t}", f"{t:g}"), out_root))
+        return _resolve(template.replace("{t}", f"{t:g}"), out_root)
     if times and len(times) > 1:
         raise GradflowError(
             f"output path {template!r} needs a '{{t}}' placeholder for multiple times")
-    return _ensure_dir(_resolve(template, out_root))
+    return _resolve(template, out_root)
 
 
 # --- grid solves ---------------------------------------------------------------
@@ -268,7 +263,7 @@ def _initial_grid_density(cfg, solver: FokkerPlanckSolver1D) -> GridDensity:
 def _run_grid(cfg, potential, out_root, artifacts):
     grid = _grid_from_cfg(cfg)
     solver = FokkerPlanckSolver1D(potential, grid)
-    state = FpeState.initial(potential, _initial_grid_density(cfg, solver))
+    state = FpeState(density=_initial_grid_density(cfg, solver), time=0.0, solver=solver)
 
     step_fn = {"fpe": fpe_step, "fpe_weighted": weighted_fpe_step,
                "fpe_bdl": bdl_fpe_step}[cfg.method]
@@ -302,13 +297,13 @@ def _run_grid(cfg, potential, out_root, artifacts):
                 write_density_csv(path, snapshots[t].density)
                 artifacts.append(path)
         elif spec.kind == "metrics":
-            path = _ensure_dir(_resolve(spec.path, out_root))
+            path = _resolve(spec.path, out_root)
             write_metrics_csv(path, metrics_rows)
             artifacts.append(path)
         elif spec.kind == "rates":
             ordered = [snapshots[0.0]] + [snapshots[t] for t in out_times if t > 0]
             report = decay_report(ordered, target, potential.alpha)
-            path = _ensure_dir(_resolve(spec.path, out_root))
+            path = _resolve(spec.path, out_root)
             write_decay_report(path, report)
             artifacts.append(path)
     return metrics_rows

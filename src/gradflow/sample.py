@@ -10,10 +10,11 @@ layout, in uniform columns:
                   + replacement-partner uniform
 
 Ensemble initialization uses context 1 of the stream, dynamics context 0.
-Each method is one transition ``step(x, k) -> (x, n_accepted)`` from the
-particles ``x`` with the draws of stream step ``k``; ``run_sampler`` is a
-single loop over it.  Runs are single-threaded: the worker count is
-accepted and never changes the output.
+Every step is a plain map from the ``(J, dim)`` particles and that step's
+draws to the next particles.  ``_transition`` is the one place that reads
+the stream, so the layout above is read off it, and ``run_sampler`` is a
+single loop over the transition it returns.  Runs are single-threaded:
+the worker count is accepted and never changes the output.
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ __all__ = [
     "SampleRun",
     "ula_step",
     "mala_acceptance",
-    "mala_transition",
-    "mala_step",
     "ensemble_covariance",
     "ensemble_langevin_step",
     "bdl_step",
@@ -46,7 +45,7 @@ __all__ = [
 
 @dataclass
 class Ensemble:
-    """J particle positions plus the stream and step counter that evolve them."""
+    """J particle positions, their stream, and the step a run starts from."""
 
     particles: np.ndarray
     rng: RngStream
@@ -59,10 +58,6 @@ class Ensemble:
             raise ValueError("particles must be a (J, dim) array with J >= 1")
         if not np.all(np.isfinite(arr)):
             raise ValueError("particles must be finite")
-
-    @property
-    def size(self) -> int:
-        return self.particles.shape[0]
 
     @property
     def dim(self) -> int:
@@ -149,26 +144,11 @@ def mala_acceptance(p: Potential, theta, theta_star, tau: float) -> float:
     return float(np.exp(min(0.0, log_ratio)))
 
 
-def mala_transition(p: Potential, theta, tau: float, noise, u: float):
-    """One accept/reject step with the randomness passed in explicitly."""
-    th = np.asarray(theta, dtype=float)
-    proposal = ula_step(p, th, tau, noise)
-    accepted = u < mala_acceptance(p, th, proposal, tau)
-    return (proposal if accepted else th.copy()), bool(accepted)
-
-
-def mala_step(p: Potential, theta, tau: float, rng: RngStream, step: int,
-              particle: int = 0):
-    """Single-chain step drawing proposal noise and the acceptance uniform
-    from the chain's substream at the given step index."""
-    row = rng.uniform_row(step, particle, p.dim + 1)
-    return mala_transition(p, theta, tau, ndtri(row[:p.dim]), row[p.dim])
-
-
-def ensemble_covariance(e: Ensemble) -> np.ndarray:
-    """Empirical covariance with divisor J (not J - 1), symmetrized exactly."""
-    centered = e.particles - e.particles.mean(axis=0)
-    cov = centered.T @ centered / e.size
+def ensemble_covariance(x) -> np.ndarray:
+    """Covariance of (J, dim) particles, divisor J (not J - 1), symmetrized exactly."""
+    x = np.asarray(x, dtype=float)
+    centered = x - x.mean(axis=0)
+    cov = centered.T @ centered / x.shape[0]
     return 0.5 * (cov + cov.T)
 
 
@@ -178,13 +158,13 @@ def _spectral_roots(matrix: np.ndarray):
         raise PreconditionerError(
             f"ensemble covariance is numerically singular (min eigenvalue "
             f"{w.min():.3e}); increase the ridge or the ensemble size")
-    sqrt_m = (q * np.sqrt(w)) @ q.T
-    return sqrt_m
+    return (q * np.sqrt(w)) @ q.T
 
 
-def ensemble_langevin_step(p: Potential, e: Ensemble, tau: float,
-                           ridge: Optional[float] = None) -> Ensemble:
-    """Interacting step preconditioned by the ensemble covariance.
+def ensemble_langevin_step(p: Potential, x, tau: float, noise,
+                           ridge: Optional[float] = None) -> np.ndarray:
+    """Interacting step of the (J, dim) particles ``x`` with (J, dim)
+    standard Gaussian ``noise``, preconditioned by the ensemble covariance.
 
     Every particle moves with mobility M = cov + ridge I shared across the
     ensemble: drift -tau M grad V, noise sqrt(2 tau) M^(1/2) xi, the matrix
@@ -194,24 +174,26 @@ def ensemble_langevin_step(p: Potential, e: Ensemble, tau: float,
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    cov = ensemble_covariance(e)
+    x = np.asarray(x, dtype=float)
+    dim = x.shape[1]
+    cov = ensemble_covariance(x)
     if ridge is None:
-        ridge = 1e-6 * np.trace(cov) / e.dim
+        ridge = 1e-6 * np.trace(cov) / dim
     if ridge < 0:
         raise ValueError("ridge must be nonnegative")
-    mobility = cov + ridge * np.eye(e.dim)
+    mobility = cov + ridge * np.eye(dim)
     sqrt_m = _spectral_roots(mobility)
-    noise = e.rng.normal_rows(e.step, 0, e.size, e.dim)
-    grads = p.grad(e.particles)
-    new = e.particles - tau * grads @ mobility + np.sqrt(2.0 * tau) * noise @ sqrt_m
-    return Ensemble(particles=new, rng=e.rng, step=e.step + 1)
+    return x - tau * p.grad(x) @ mobility + np.sqrt(2.0 * tau) * noise @ sqrt_m
 
 
-def bdl_step(p: Potential, e: Ensemble, tau: float, bandwidth="auto",
-             log_density_fn: Optional[Callable] = None) -> Ensemble:
+def bdl_step(p: Potential, x, tau: float, rows, bandwidth="auto",
+             log_density_fn: Optional[Callable] = None) -> np.ndarray:
     """Langevin substep followed by a birth-death exchange.
 
-    Rates r_i = log rho_hat(theta_i) + V(theta_i) are centered by their
+    ``x`` holds the (J, dim) particles and ``rows`` their (J, dim + 2)
+    uniforms: dim Gaussian coordinates by inverse CDF, then the
+    kill/duplicate and the replacement-partner uniform.  Rates
+    r_i = log rho_hat(theta_i) + V(theta_i) are centered by their
     ensemble mean, which cancels the unknown normalizer of the target;
     particle i fires with probability 1 - exp(-|beta_i| tau), where beta_i
     is its centered rate.  A fired particle with positive excess is killed
@@ -222,19 +204,17 @@ def bdl_step(p: Potential, e: Ensemble, tau: float, bandwidth="auto",
     of the moved particles at themselves, with bandwidth ``"auto"``
     (per-axis Silverman, ``silverman_bandwidth`` of each coordinate) or a
     fixed positive number.  ``log_density_fn`` overrides the estimate
-    (used by stationarity checks with exact densities).
+    (used by stationarity checks with exact densities).  Moved particles
+    that are not all finite are returned unexchanged.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    if e.size < 2:
+    j, dim = np.shape(x)
+    if j < 2:
         raise ValueError("birth-death needs at least 2 particles")
-    width = e.dim + 2
-    rows = e.rng.uniform_rows(e.step, 0, e.size, width)
-    noise = ndtri(rows[:, :e.dim])
-    u_decide = rows[:, e.dim]
-    u_partner = rows[:, e.dim + 1]
-
-    moved = ula_step(p, e.particles, tau, noise)
+    moved = ula_step(p, x, tau, ndtri(rows[:, :dim]))
+    if not np.isfinite(moved).all():
+        return moved
     if log_density_fn is not None:
         log_rho = np.asarray(log_density_fn(moved), dtype=float)
     else:
@@ -245,17 +225,16 @@ def bdl_step(p: Potential, e: Ensemble, tau: float, bandwidth="auto",
     beta = rates - rates.mean()
 
     particles = moved.copy()
-    j = e.size
-    partners = np.floor(u_partner * (j - 1)).astype(int)
+    partners = np.floor(rows[:, dim + 1] * (j - 1)).astype(int)
     partners = np.minimum(partners, j - 2)
     partners += partners >= np.arange(j)  # skip the particle itself
-    fired = np.flatnonzero(u_decide < -np.expm1(-np.abs(beta) * tau))
+    fired = np.flatnonzero(rows[:, dim] < -np.expm1(-np.abs(beta) * tau))
     for i in fired:
         if beta[i] > 0:
             particles[i] = particles[partners[i]]
         else:
             particles[partners[i]] = particles[i]
-    return Ensemble(particles=particles, rng=e.rng, step=e.step + 1)
+    return particles
 
 
 # --- driver -------------------------------------------------------------------
@@ -284,21 +263,23 @@ def _mala_kernel(p: Potential, rng: RngStream, tau: float, x: np.ndarray):
 
 def _transition(method: str, p: Potential, rng: RngStream, tau: float,
                 x: np.ndarray, ridge, bandwidth):
-    """The method as one transition step(x, k) -> (x, n_accepted), where x
-    holds the particles and k is the stream step of the draws."""
+    """The method as one transition step(x, k) -> (x, n_accepted) of the
+    (J, dim) particles x; the one reader of the stream, it draws the rows of
+    stream step k in the module docstring's layout and hands them to a map."""
+    j, dim = x.shape
+    if method == "mala":
+        return _mala_kernel(p, rng, tau, x)
     if method == "ula":
         def step(x, k):
-            return ula_step(p, x, tau, rng.normal_rows(k, 0, len(x), p.dim)), len(x)
+            return ula_step(p, x, tau, rng.normal_rows(k, 0, j, dim)), j
     elif method == "ensemble":
         def step(x, k):
-            e = Ensemble(particles=x, rng=rng, step=k)
-            return ensemble_langevin_step(p, e, tau, ridge=ridge).particles, len(x)
-    elif method == "bdl":
-        def step(x, k):
-            e = Ensemble(particles=x, rng=rng, step=k)
-            return bdl_step(p, e, tau, bandwidth=bandwidth).particles, len(x)
+            noise = rng.normal_rows(k, 0, j, dim)
+            return ensemble_langevin_step(p, x, tau, noise, ridge=ridge), j
     else:
-        step = _mala_kernel(p, rng, tau, x)
+        def step(x, k):
+            rows = rng.uniform_rows(k, 0, j, dim + 2)
+            return bdl_step(p, x, tau, rows, bandwidth=bandwidth), j
     return step
 
 

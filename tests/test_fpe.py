@@ -114,28 +114,8 @@ def test_mass_conserved_and_nonnegative():
     dt = 0.9 * stable_dt(dw, grid, 1.0)
     for _ in range(200):
         state = fpe_step(state, dt)
-        assert abs(state.mass_log[-1] - 1.0) < 1e-12
+        assert abs(state.density.mass() - 1.0) < 1e-12
         assert np.all(state.density.values >= 0.0)
-
-
-def test_mass_log_is_each_states_own_history():
-    grid = Grid1D.from_bounds(-4.0, 4.0, 81)
-    s0 = FpeState.initial(OU, gaussian_start(grid, 2.0))
-    dt = 0.5 * s0.solver.max_stable_dt()
-    s1 = fpe_step(s0, dt)
-    s1_log = list(s1.mass_log)
-    s2 = fpe_step(s1, dt)
-    s2_log = list(s2.mass_log)
-    s2b = fpe_step(s1, 0.5 * dt)  # a branch from an older state
-    fpe_step(s2, dt)
-    fpe_step(s2b, dt)
-    states = (s0, s1, s2, s2b)
-    assert [len(s.mass_log) for s in states] == [1, 2, 3, 3]
-    for s in states:
-        assert s.mass_log[-1] == s.density.mass()
-    assert s1.mass_log == s1_log
-    assert s2.mass_log == s2_log
-    assert s2b.mass_log[:2] == s1_log
 
 
 def test_grid_density_and_fpe_state_compare_by_value():
@@ -151,9 +131,9 @@ def test_grid_density_and_fpe_state_compare_by_value():
     s0 = FpeState.initial(OU, a)
     s1 = fpe_step(s0, 0.5 * s0.solver.max_stable_dt())
     assert s1 != s0
-    assert s0 == FpeState(density=same, time=0.0, potential=OU)
+    assert s0 == FpeState(density=same, time=0.0, solver=s0.solver)
     assert s1 == FpeState(density=GridDensity(grid=grid, values=s1.density.values.copy()),
-                          time=s1.time, potential=OU)
+                          time=s1.time, solver=s0.solver)
 
 
 def test_stability_error_names_admissible_dt():

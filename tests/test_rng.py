@@ -8,25 +8,25 @@ from gradflow.rng import RngStream
 
 def test_same_address_same_draws():
     s = RngStream(20240613)
-    a = s.normal_row(step=5, particle=17, width=3)
-    b = RngStream(20240613).normal_row(step=5, particle=17, width=3)
+    a = s.normal_rows(step=5, start=17, stop=18, width=3)[0]
+    b = RngStream(20240613).normal_rows(step=5, start=17, stop=18, width=3)[0]
     assert np.array_equal(a, b)
 
 
 def test_distinct_addresses_differ():
     s = RngStream(1)
-    base = s.uniform_row(0, 0, 4)
-    assert not np.array_equal(base, s.uniform_row(0, 1, 4))
-    assert not np.array_equal(base, s.uniform_row(1, 0, 4))
-    assert not np.array_equal(base, RngStream(2).uniform_row(0, 0, 4))
-    assert not np.array_equal(base, s.uniform_row(0, 0, 4, context=1))
+    base = s.uniform_rows(0, 0, 1, 4)[0]
+    assert not np.array_equal(base, s.uniform_rows(0, 1, 2, 4)[0])
+    assert not np.array_equal(base, s.uniform_rows(1, 0, 1, 4)[0])
+    assert not np.array_equal(base, RngStream(2).uniform_rows(0, 0, 1, 4)[0])
+    assert not np.array_equal(base, s.uniform_rows(0, 0, 1, 4, context=1)[0])
 
 
 def test_rows_are_slices_of_the_block():
     s = RngStream(99)
     block = s.uniform_rows(step=3, start=0, stop=40, width=5)
     for i in (0, 1, 7, 39):
-        assert np.array_equal(block[i], s.uniform_row(3, i, 5))
+        assert np.array_equal(block[i], s.uniform_rows(3, i, i + 1, 5)[0])
 
 
 @pytest.mark.parametrize("n_chunks", [1, 2, 3, 8, 40])
@@ -42,8 +42,8 @@ def test_chunked_generation_is_chunking_invariant(n_chunks):
 
 def test_execution_order_irrelevant():
     s = RngStream(11)
-    forward = [s.uniform_row(0, i, 2) for i in range(6)]
-    backward = [s.uniform_row(0, i, 2) for i in reversed(range(6))][::-1]
+    forward = [s.uniform_rows(0, i, i + 1, 2)[0] for i in range(6)]
+    backward = [s.uniform_rows(0, i, i + 1, 2)[0] for i in reversed(range(6))][::-1]
     assert np.array_equal(np.stack(forward), np.stack(backward))
 
 

@@ -15,8 +15,7 @@ from gradflow.potentials import (GaussianSpec, Potential, make_double_well,
 from gradflow.rng import RngStream
 from gradflow.sample import (Ensemble, bdl_step, ensemble_covariance,
                              ensemble_langevin_step, integrated_autocorr_time,
-                             mala_acceptance, mala_step, mala_transition,
-                             run_sampler, ula_step)
+                             mala_acceptance, run_sampler, ula_step)
 
 RNG = np.random.default_rng(123)
 STD_GAUSSIAN = make_quadratic([0.5])  # V = theta^2 / 2
@@ -106,23 +105,33 @@ def test_mala_detailed_balance_pointwise():
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
 
-def test_mala_transition_forced_draws():
-    theta = np.array([1.0])
-    noise = np.array([0.5])
-    new, accepted = mala_transition(STD_GAUSSIAN, theta, 0.2, noise, u=0.0)
-    assert accepted and new[0] != theta[0]
-    # u = 1 rejects whenever a < 1
-    prop = ula_step(STD_GAUSSIAN, theta, 0.2, noise)
-    if mala_acceptance(STD_GAUSSIAN, theta, prop, 0.2) < 1.0:
-        same, rejected = mala_transition(STD_GAUSSIAN, theta, 0.2, noise, u=1.0)
-        assert not rejected and same[0] == theta[0]
+def _quartic(dim):
+    """A non-Gaussian target in any dimension: V = sum x^4/4 + a_i x^2/2."""
+    a = np.linspace(0.5, 2.0, dim)
+    return Potential(dim=dim, value=lambda t: np.sum(0.25 * t**4 + 0.5 * a * t**2, axis=-1),
+                     grad=lambda t: t**3 + a * t)
 
 
-def test_mala_step_uses_substream():
-    rng = RngStream(55)
-    a1 = mala_step(STD_GAUSSIAN, np.array([0.3]), 0.2, rng, step=4)
-    a2 = mala_step(STD_GAUSSIAN, np.array([0.3]), 0.2, rng, step=4)
-    assert np.array_equal(a1[0], a2[0]) and a1[1] == a2[1]
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(1, 3), j=st.integers(1, 20), tau=st.floats(0.01, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_mala_kernel_equals_the_reference_accept_reject(dim, j, tau, seed):
+    # each batched step is the ULA proposal from the step's rows, accepted
+    # particle by particle where u < mala_acceptance, with fresh V and grad V
+    p = _quartic(dim)
+    rng = RngStream(seed)
+    ens = Ensemble.gaussian(rng, j, np.zeros(dim), np.eye(dim))
+    run = run_sampler("mala", p, ens, tau, 3)
+    x, n_accepted = ens.particles, 0
+    for k in range(3):
+        rows = rng.uniform_rows(k, 0, j, dim + 1)
+        proposal = ula_step(p, x, tau, ndtri(rows[:, :dim]))
+        accept = np.array([rows[i, dim] < mala_acceptance(p, x[i], proposal[i], tau)
+                           for i in range(j)])
+        x = np.where(accept[:, None], proposal, x)
+        n_accepted += int(accept.sum())
+        assert run.states[k + 1].tobytes() == x.tobytes()
+    assert run.stats.n_accepted == n_accepted
 
 
 def test_mala_removes_ula_bias_small():
@@ -139,17 +148,13 @@ def test_mala_removes_ula_bias_small():
 # --- ensemble covariance and preconditioned step -------------------------------------
 
 def test_ensemble_covariance_hand_cases():
-    rng = RngStream(0)
-    two = Ensemble(particles=np.array([[1.0], [-1.0]]), rng=rng)
-    assert ensemble_covariance(two)[0, 0] == pytest.approx(1.0)
+    assert ensemble_covariance(np.array([[1.0], [-1.0]]))[0, 0] == pytest.approx(1.0)
 
-    same = Ensemble(particles=np.full((5, 2), 3.0), rng=rng)
-    assert np.allclose(ensemble_covariance(same), 0.0)
+    assert np.allclose(ensemble_covariance(np.full((5, 2), 3.0)), 0.0)
 
-    tri = Ensemble(particles=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), rng=rng)
-    got = ensemble_covariance(tri)
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    got = ensemble_covariance(pts)
     # brute-force summation oracle with divisor J
-    pts = tri.particles
     mean = pts.mean(axis=0)
     want = sum(np.outer(q - mean, q - mean) for q in pts) / 3.0
     assert np.allclose(got, want, atol=1e-15)
@@ -158,27 +163,25 @@ def test_ensemble_covariance_hand_cases():
 
 def test_ensemble_covariance_psd_random():
     for _ in range(20):
-        ens = Ensemble(particles=RNG.normal(size=(7, 3)), rng=RngStream(1))
-        eigs = np.linalg.eigvalsh(ensemble_covariance(ens))
+        eigs = np.linalg.eigvalsh(ensemble_covariance(RNG.normal(size=(7, 3))))
         assert eigs.min() > -1e-12
 
 
 def test_ensemble_step_identity_mobility_reduces_to_ula():
     # identical particles: covariance 0, ridge 1 gives unit mobility
-    rng = RngStream(9)
     j, tau = 8, 0.05
-    ens = Ensemble(particles=np.full((j, 1), 0.7), rng=rng, step=3)
-    stepped = ensemble_langevin_step(STD_GAUSSIAN, ens, tau, ridge=1.0)
-    noise = rng.normal_rows(3, 0, j, 1)
-    want = ula_step(STD_GAUSSIAN, ens.particles, tau, noise)
-    assert np.allclose(stepped.particles, want, atol=1e-15)
-    assert stepped.step == 4
+    x = np.full((j, 1), 0.7)
+    noise = RngStream(9).normal_rows(3, 0, j, 1)
+    stepped = ensemble_langevin_step(STD_GAUSSIAN, x, tau, noise, ridge=1.0)
+    want = ula_step(STD_GAUSSIAN, x, tau, noise)
+    assert np.allclose(stepped, want, atol=1e-15)
 
 
 def test_ensemble_step_singular_covariance_error():
-    ens = Ensemble(particles=np.zeros((4, 2)), rng=RngStream(3))
+    noise = RngStream(3).normal_rows(0, 0, 4, 2)
     with pytest.raises(PreconditionerError, match="ridge"):
-        ensemble_langevin_step(make_quadratic([1.0, 1.0]), ens, 0.1, ridge=0.0)
+        ensemble_langevin_step(make_quadratic([1.0, 1.0]), np.zeros((4, 2)), 0.1, noise,
+                               ridge=0.0)
 
 
 def test_ensemble_tracks_gaussian_posterior_loose():
@@ -198,33 +201,35 @@ def test_bdl_exact_density_is_a_no_op():
     rng = RngStream(77)
     ens = Ensemble.gaussian(rng, 50, [0.0], [[1.0]], )
     exact = lambda pts: -STD_GAUSSIAN.value(pts)
-    stepped = bdl_step(STD_GAUSSIAN, ens, 0.05, log_density_fn=exact)
     rows = rng.uniform_rows(0, 0, 50, 3)
+    stepped = bdl_step(STD_GAUSSIAN, ens.particles, 0.05, rows, log_density_fn=exact)
     want = ula_step(STD_GAUSSIAN, ens.particles, 0.05, ndtri(rows[:, :1]))
-    assert np.array_equal(stepped.particles, want)
+    assert np.array_equal(stepped, want)
 
 
 def test_bdl_constant_shift_leaves_exchange_unchanged():
     mix = make_gaussian_mixture([(0.5, GaussianSpec([-2.0], [[0.25]])),
                                  (0.5, GaussianSpec([2.0], [[0.25]]))])
     ens = Ensemble.gaussian(RngStream(31), 64, [-2.0], [[0.25]])
-    a = bdl_step(mix, ens, 0.05)
-    b = bdl_step(mix.shifted(250.0), ens, 0.05)
-    assert np.allclose(a.particles, b.particles, atol=1e-12)
+    rows = ens.rng.uniform_rows(0, 0, 64, 3)
+    a = bdl_step(mix, ens.particles, 0.05, rows)
+    b = bdl_step(mix.shifted(250.0), ens.particles, 0.05, rows)
+    assert np.allclose(a, b, atol=1e-12)
 
 
 def test_bdl_conserves_particle_count_and_validates():
     mix = make_gaussian_mixture([(0.5, GaussianSpec([-2.0], [[0.25]])),
                                  (0.5, GaussianSpec([2.0], [[0.25]]))])
-    ens = Ensemble.gaussian(RngStream(5), 33, [-2.0], [[0.25]])
-    stepped = bdl_step(mix, ens, 0.05)
-    assert stepped.size == 33
+    x = Ensemble.gaussian(RngStream(5), 33, [-2.0], [[0.25]]).particles
+    rows = RngStream(5).uniform_rows(0, 0, 33, 3)
+    stepped = bdl_step(mix, x, 0.05, rows)
+    assert stepped.shape == (33, 1)
     with pytest.raises(ValueError):
-        bdl_step(mix, Ensemble(particles=[[0.0]], rng=RngStream(1)), 0.05)
+        bdl_step(mix, np.array([[0.0]]), 0.05, rows[:1])
     with pytest.raises(ValueError):
-        bdl_step(mix, ens, 0.05, bandwidth=-1.0)
+        bdl_step(mix, x, 0.05, rows, bandwidth=-1.0)
     with pytest.raises(ValueError):
-        bdl_step(mix, ens, 0.0)
+        bdl_step(mix, x, 0.0, rows)
 
 
 def test_bdl_moves_mass_between_modes():
@@ -273,12 +278,10 @@ def test_bdl_exchange_equals_the_serial_sweep(dim, j, tau, seed, step, data):
     flat = Potential(dim=dim, value=lambda t: np.zeros(t.shape[:-1]), grad=np.zeros_like)
     rng = RngStream(seed)
     start = Ensemble.gaussian(rng, j, np.zeros(dim), np.eye(dim)).particles
-    got = bdl_step(flat, Ensemble(particles=start, rng=rng, step=step), tau,
-                   log_density_fn=lambda pts: rates)
     rows = rng.uniform_rows(step, 0, j, dim + 2)
+    got = bdl_step(flat, start, tau, rows, log_density_fn=lambda pts: rates)
     moved = ula_step(flat, start, tau, ndtri(rows[:, :dim]))
-    assert np.array_equal(got.particles,
-                          _serial_exchange(moved, rates - rates.mean(), rows, tau))
+    assert np.array_equal(got, _serial_exchange(moved, rates - rates.mean(), rows, tau))
 
 
 # --- run_sampler mechanics ---------------------------------------------------------------
@@ -312,15 +315,15 @@ def test_run_sampler_restart_matches_single_run():
     assert np.array_equal(once.final, second.final)
 
 
-def test_run_sampler_divergence_error_names_step_and_particle():
-    from gradflow.potentials import Potential
+@pytest.mark.parametrize("method", ["ula", "ensemble", "bdl"])
+def test_run_sampler_divergence_error_names_step_and_particle(method):
     quartic = Potential(dim=1, value=lambda t: t[..., 0] ** 4,
                         grad=lambda t: 4.0 * t**3)
-    bad = Ensemble(particles=np.array([[1e200], [0.0]]), rng=RngStream(1))
-    with np.errstate(over="ignore"), pytest.raises(DivergenceError) as err:
-        run_sampler("ula", quartic, bad, 1.0, 10)
-    assert err.value.particle == 0
-    assert err.value.step >= 0
+    bad = Ensemble(particles=np.array([[1e200], [0.0], [0.5]]), rng=RngStream(1))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(DivergenceError) as err:
+        run_sampler(method, quartic, bad, 1.0, 10)
+    assert (err.value.step, err.value.particle) == (0, 0)
 
 
 def test_run_sampler_thin_and_stats():
