@@ -58,7 +58,7 @@ def _load_config(path: str):
     cfg_path = Path(path)
     if not cfg_path.exists():
         raise ConfigError([f"config file not found: {path}"])
-    return parse_config(cfg_path.read_text(), resolve_problem=True)
+    return parse_config(cfg_path.read_text())
 
 
 def main(argv=None) -> int:

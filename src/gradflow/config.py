@@ -2,11 +2,14 @@
 
 Configs are YAML mappings parsed in strict mode: unknown keys are
 rejected, every violation is reported with its line number, and all
-errors are collected before failing.  With ``resolve_problem`` (as the
-CLI's ``run`` and ``validate`` both parse) the problem's potential is
-built too, and points, means, grid methods and histograms are checked
-against its dimension.  ``serialize_config`` emits a canonical form that
-reparses to an equal config.
+errors are collected before failing.  Parsing builds the problem's
+potential, checks points, means, grid methods and histograms against its
+dimension, and checks everything a run would otherwise find only after
+its work: which assertions the method takes, ``{i}``/``{t}`` path
+placeholders, and output times within the horizon.  A parsed config's
+``horizon()`` and ``metric_times()`` are the run's time plan.
+``serialize_config`` emits a canonical form that reparses to an equal
+config.
 """
 
 from __future__ import annotations
@@ -50,8 +53,27 @@ _INIT_KINDS = {
     "stochastic": ("list", "gaussian", "points"),
     "grid": ("gaussian", "gibbs"),
 }
+_INIT_KEYS = {
+    "gaussian": ("kind", "mean", "var", "cov"),
+    "points": ("kind", "points"),
+    "gibbs": ("kind",),
+}
 _METRIC_NAMES = ("tv", "kl", "l2pinv")
-_ASSERTION_CHECKS = ("endpoint_near", "metric_max", "metric_monotone")
+_ASSERTION_KEYS = {
+    "endpoint_near": ("check", "point", "tol"),
+    "metric_max": ("check", "metric", "time", "max"),
+    "metric_monotone": ("check", "metric"),
+}
+_ASSERTION_CHECKS = {
+    "deterministic": ("endpoint_near",),
+    "stochastic": ("metric_max", "metric_monotone"),
+    "grid": ("metric_max", "metric_monotone"),
+}
+_REQUIRED_KEYS = {
+    "deterministic": ("init",),
+    "stochastic": ("seed", "particles", "init"),
+    "grid": ("grid", "init"),
+}
 
 _TOP_KEYS = ("problem", "method", "tau", "dt", "steps", "time", "seed",
              "particles", "init", "grid", "thin", "workers", "ridge",
@@ -93,20 +115,40 @@ class ExperimentConfig:
 
     @property
     def family(self) -> str:
-        if self.method in DETERMINISTIC_METHODS:
-            return "deterministic"
-        if self.method in STOCHASTIC_METHODS:
-            return "stochastic"
-        return "grid"
+        return _family(self.method)
 
     def n_steps(self) -> int:
-        return _step_count(self.steps, self.time, self.tau)
+        if self.steps is not None:
+            return self.steps
+        return max(0, int(round(self.time / self.tau)))
+
+    def horizon(self) -> float:
+        """The time the run ends at: whole steps for a sampler, the
+        configured time (else steps * tau) for the other families."""
+        if self.time is None or self.family == "stochastic":
+            return self.n_steps() * self.tau
+        return self.time
+
+    def metric_times(self) -> List[float]:
+        """The sorted times at which the run computes tv, kl and l2pinv: the
+        times of each histogram, density or metrics output (the horizon for
+        one without), each metric_max time, and a grid solve's horizon."""
+        horizon = self.horizon()
+        times = {t for spec in self.outputs if spec.kind in _TIMED_KINDS
+                 for t in spec.times or [horizon]}
+        times.update(a.params["time"] for a in self.assertions
+                     if a.check == "metric_max")
+        if self.family == "grid":
+            times.add(horizon)
+        return sorted(times)
 
 
-def _step_count(steps, time, tau) -> int:
-    if steps is not None:
-        return steps
-    return max(0, int(round(time / tau)))
+def _family(method: str) -> str:
+    if method in DETERMINISTIC_METHODS:
+        return "deterministic"
+    if method in STOCHASTIC_METHODS:
+        return "stochastic"
+    return "grid"
 
 
 # --- node-level helpers ------------------------------------------------------
@@ -157,6 +199,22 @@ def _mapping_items(node, errors, where: str):
     return out
 
 
+def _unknown_keys(items: dict, allowed, what: str, errors) -> None:
+    errors.extend(f"line {_line(node)}: unknown {what} {key!r}"
+                  for key, node in items.items() if key not in allowed)
+
+
+def _list_items(items: dict, key: str, errors) -> list:
+    """The item nodes of the list under ``key`` (none when it is absent)."""
+    node = items.get(key)
+    if node is None:
+        return []
+    if not isinstance(node, yaml.SequenceNode):
+        errors.append(f"line {_line(node)}: {key} must be a list")
+        return []
+    return node.value
+
+
 class _Field:
     """Typed extraction from a mapping of YAML nodes, accumulating errors."""
 
@@ -167,16 +225,16 @@ class _Field:
     def _value(self, key, kind, check, describe):
         node = self.items.get(key)
         if node is None:
-            return None, False
+            return None
         val = _construct(node)
         if not kind(val):
             self.errors.append(f"line {_line(node)}: {key} must be {describe}")
-            return None, True
+            return None
         msg = check(val) if check else None
         if msg:
             self.errors.append(f"line {_line(node)}: {key} {msg}")
-            return None, True
-        return val, True
+            return None
+        return val
 
     def floating(self, key, minimum=None, exclusive=False):
         def check(v):
@@ -186,7 +244,7 @@ class _Field:
                 if not exclusive and not v >= minimum:
                     return f"must be >= {minimum}"
             return None
-        val, _ = self._value(key, _is_number, check, "a finite number")
+        val = self._value(key, _is_number, check, "a finite number")
         return None if val is None else float(val)
 
     def integer(self, key, minimum=None):
@@ -194,17 +252,15 @@ class _Field:
             if minimum is not None and v < minimum:
                 return f"must be >= {minimum}"
             return None
-        val, _ = self._value(key, lambda v: isinstance(v, int)
-                             and not isinstance(v, bool), check, "an integer")
-        return val
+        return self._value(key, lambda v: isinstance(v, int)
+                           and not isinstance(v, bool), check, "an integer")
 
     def string(self, key, choices=None):
         def check(v):
             if choices and v not in choices:
                 return f"must be one of {', '.join(choices)}"
             return None
-        val, _ = self._value(key, lambda v: isinstance(v, str), check, "a string")
-        return val
+        return self._value(key, lambda v: isinstance(v, str), check, "a string")
 
     def node(self, key):
         return self.items.get(key)
@@ -254,13 +310,12 @@ def _cov_error(rows, side: int):
     return None
 
 
-def parse_config(text: str, resolve_problem: bool = False) -> ExperimentConfig:
+def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate; raises ConfigError listing every violation.
 
-    ``resolve_problem`` also builds the problem's potential and checks the
-    config against its dimension; an identifier that no potential accepts
-    then raises the potential's ValueError, once the config has no other
-    errors.
+    The problem's potential is built to check the config against its
+    dimension; an identifier that no potential accepts raises the
+    potential's ValueError, once the config has no other errors.
     """
     errors: List[str] = []
     try:
@@ -273,10 +328,7 @@ def parse_config(text: str, resolve_problem: bool = False) -> ExperimentConfig:
     if errors:
         raise ConfigError(errors)
 
-    for key, node in items.items():
-        if key not in _TOP_KEYS:
-            errors.append(f"line {_line(node)}: unknown key {key!r}")
-
+    _unknown_keys(items, _TOP_KEYS, "key", errors)
     f = _Field(items, errors)
     problem = f.string("problem")
     method = f.string("method", choices=ALL_METHODS)
@@ -285,7 +337,7 @@ def parse_config(text: str, resolve_problem: bool = False) -> ExperimentConfig:
     if "method" not in items:
         errors.append("line 1: missing required key 'method'")
     dim, problem_error = None, None
-    if resolve_problem and problem is not None:
+    if problem is not None:
         try:
             dim = from_identifier(problem).dim
         except ValueError as exc:
@@ -295,7 +347,6 @@ def parse_config(text: str, resolve_problem: bool = False) -> ExperimentConfig:
     dt = f.floating("dt", minimum=0.0, exclusive=True)
     if ("tau" in items) == ("dt" in items):
         errors.append("line 1: exactly one of 'tau' or 'dt' is required")
-    step_size = tau if tau is not None else dt
 
     steps = f.integer("steps", minimum=0)
     time = f.floating("time", minimum=0.0, exclusive=True)
@@ -325,9 +376,7 @@ def parse_config(text: str, resolve_problem: bool = False) -> ExperimentConfig:
     grid_node = f.node("grid")
     if grid_node is not None:
         gitems = _mapping_items(grid_node, errors, "grid")
-        for key in gitems:
-            if key not in ("lo", "hi", "n"):
-                errors.append(f"line {_line(gitems[key])}: unknown grid key {key!r}")
+        _unknown_keys(gitems, ("lo", "hi", "n"), "grid key", errors)
         gf = _Field(gitems, errors)
         lo = gf.floating("lo")
         hi = gf.floating("hi")
@@ -346,108 +395,110 @@ def parse_config(text: str, resolve_problem: bool = False) -> ExperimentConfig:
     if init_node is not None:
         init = _parse_init(init_node, errors, dim)
 
-    outputs: List[OutputSpec] = []
-    # lines of the outputs and assertions that histogram the particles
-    histogram_lines = []
-    out_node = f.node("outputs")
-    if out_node is not None:
-        if not isinstance(out_node, yaml.SequenceNode):
-            errors.append(f"line {_line(out_node)}: outputs must be a list")
-        else:
-            for item in out_node.value:
-                spec = _parse_output(item, errors)
-                if spec:
-                    outputs.append(spec)
-                    if spec.kind in ("histogram", "metrics"):
-                        histogram_lines.append(_line(item))
+    # each parsed output and assertion with the line it starts on
+    outputs = [(spec, _line(item)) for item in _list_items(items, "outputs", errors)
+               if (spec := _parse_output(item, errors))]
+    assertions = [(spec, _line(item)) for item in _list_items(items, "assertions", errors)
+                  if (spec := _parse_assertion(item, errors, dim))]
 
-    assertions: List[AssertionSpec] = []
-    asrt_node = f.node("assertions")
-    if asrt_node is not None:
-        if not isinstance(asrt_node, yaml.SequenceNode):
-            errors.append(f"line {_line(asrt_node)}: assertions must be a list")
-        else:
-            for item in asrt_node.value:
-                spec = _parse_assertion(item, errors, dim)
-                if spec:
-                    assertions.append(spec)
-                    if spec.check in ("metric_max", "metric_monotone"):
-                        histogram_lines.append(_line(item))
-
-    # method-family requirements
-    if method is not None:
-        family = ("deterministic" if method in DETERMINISTIC_METHODS
-                  else "stochastic" if method in STOCHASTIC_METHODS else "grid")
-        if family == "stochastic":
-            for key in ("seed", "particles", "init"):
-                if key not in items:
-                    errors.append(f"line 1: method {method!r} requires key {key!r}")
-        if family == "grid" and grid_node is None:
-            errors.append(f"line 1: method {method!r} requires key 'grid'")
-        if family == "grid" and init_node is None:
-            errors.append(f"line 1: method {method!r} requires key 'init'")
-        if family == "deterministic" and init_node is None:
-            errors.append(f"line 1: method {method!r} requires key 'init'")
-        init_kind = init.get("kind") if isinstance(init, dict) else "list"
-        if init is not None and init_kind not in _INIT_KINDS[family]:
-            errors.append(f"line {_line(init_node)}: init {init_kind!r} is not valid "
-                          f"for method {method!r} (allowed: "
-                          f"{', '.join(_INIT_KINDS[family])})")
-        if family == "grid" and dim not in (None, 1):
-            errors.append(f"line {_line(items['problem'])}: method {method!r} needs a "
-                          f"1-D problem; {problem!r} is {dim}-D")
-        allowed = _OUTPUT_KINDS[family]
-        for spec in outputs:
-            if spec.kind not in allowed:
-                errors.append(f"line 1: output kind {spec.kind!r} not valid for "
-                              f"method {method!r} (allowed: {', '.join(allowed)})")
-        if family == "stochastic" and histogram_lines and grid_node is None:
-            errors.append("line 1: histogram/metrics outputs require key 'grid'")
-        if family == "stochastic" and dim not in (None, 1):
-            errors.extend(f"line {line}: histograms and metrics need a 1-D problem; "
-                          f"{problem!r} is {dim}-D" for line in histogram_lines)
-        if (family == "stochastic" and step_size is not None
-                and (steps is not None or time is not None)):
-            errors.extend(_sampler_time_errors(
-                outputs, assertions, step_size, _step_count(steps, time, step_size)))
-
-    if errors:
-        raise ConfigError(errors)
-    if problem_error is not None:
-        raise problem_error
-    return ExperimentConfig(
-        problem=problem, method=method, tau=step_size, steps=steps, time=time,
-        seed=seed, particles=particles, init=init, grid=grid,
+    cfg = ExperimentConfig(
+        problem=problem, method=method, tau=tau if tau is not None else dt,
+        steps=steps, time=time, seed=seed, particles=particles, init=init, grid=grid,
         thin=thin if thin is not None else 1,
         workers=workers if workers is not None else 1,
         ridge=ridge, bandwidth=bandwidth,
         mirror_map=mirror_map if mirror_map is not None else "quadratic",
-        outputs=outputs, assertions=assertions,
+        outputs=[spec for spec, _ in outputs],
+        assertions=[spec for spec, _ in assertions],
         manifest=manifest if manifest is not None else "manifest.json")
+    if method is not None:
+        errors.extend(_family_errors(cfg, items, dim, outputs, assertions))
+    if errors:
+        raise ConfigError(errors)
+    if problem_error is not None:
+        raise problem_error
+    return cfg
 
 
-def _sampler_time_errors(outputs, assertions, tau, n_steps):
-    """A sampler records whole steps, so each output or assertion time must
-    be a multiple of tau (to a relative 1e-9) within the run's horizon."""
-    times = [t for spec in outputs for t in spec.times or []]
-    times += [a.params["time"] for a in assertions if a.check == "metric_max"]
-    errors = []
-    for t in times:
-        k = t / tau
-        if abs(k - round(k)) > 1e-9 * max(1.0, abs(k)) or not 0 <= round(k) <= n_steps:
-            errors.append(f"line 1: time {t:g} must be a whole number of "
-                          f"tau={tau:g} steps in 0..{n_steps * tau:g}")
+def _family_errors(cfg, items, dim, outputs, assertions):
+    """What the method's family rules out: missing keys, init forms, output
+    kinds and checks it does not take, outputs that one path cannot hold,
+    and times the run does not reach.  ``outputs`` and ``assertions`` pair
+    each spec with its line."""
+    family, method = cfg.family, cfg.method
+    errors = [f"line 1: method {method!r} requires key {key!r}"
+              for key in _REQUIRED_KEYS[family] if key not in items]
+    init_kind = cfg.init.get("kind") if isinstance(cfg.init, dict) else "list"
+    if cfg.init is not None and init_kind not in _INIT_KINDS[family]:
+        errors.append(f"line {_line(items['init'])}: init {init_kind!r} is not valid "
+                      f"for method {method!r} (allowed: "
+                      f"{', '.join(_INIT_KINDS[family])})")
+    if family == "grid" and dim not in (None, 1):
+        errors.append(f"line {_line(items['problem'])}: method {method!r} needs a "
+                      f"1-D problem; {cfg.problem!r} is {dim}-D")
+    for what, specs, allowed in (
+            ("output kind", [(o.kind, line) for o, line in outputs], _OUTPUT_KINDS[family]),
+            ("check", [(a.check, line) for a, line in assertions], _ASSERTION_CHECKS[family])):
+        errors.extend(f"line {line}: {what} {name!r} not valid for method {method!r} "
+                      f"(allowed: {', '.join(allowed)})"
+                      for name, line in specs if name not in allowed)
+    if family == "stochastic":
+        # lines of the outputs and assertions that histogram the particles
+        histogram_lines = ([line for o, line in outputs if o.kind in ("histogram", "metrics")]
+                           + [line for a, line in assertions if a.check != "endpoint_near"])
+        if histogram_lines and "grid" not in items:
+            errors.append("line 1: histogram/metrics outputs require key 'grid'")
+        if dim not in (None, 1):
+            errors.extend(f"line {line}: histograms and metrics need a 1-D problem; "
+                          f"{cfg.problem!r} is {dim}-D" for line in histogram_lines)
+
+    n_starts = (len(cfg.init) if isinstance(cfg.init, list) and isinstance(cfg.init[0], list)
+                else 1)
+    for o, line in outputs:
+        if family == "deterministic" and n_starts > 1 and "{i}" not in o.path:
+            errors.append(f"line {line}: output path {o.path!r} needs '{{i}}' for "
+                          f"{n_starts} starts")
+        if o.kind in ("histogram", "density") and len(o.times or ()) > 1 and "{t}" not in o.path:
+            errors.append(f"line {line}: output path {o.path!r} needs '{{t}}' for "
+                          f"{len(o.times)} times")
+
+    if family == "deterministic" or cfg.tau is None or (cfg.steps, cfg.time) == (None, None):
+        return errors
+    timed = [(t, line) for o, line in outputs for t in o.times or ()]
+    timed += [(a.params["time"], line) for a, line in assertions if a.check == "metric_max"]
+    errors.extend(f"line {line}: {msg}" for t, line in timed
+                  if (msg := _time_error(cfg, t)))
+    n_times = len(cfg.metric_times())
+    errors.extend(f"line {line}: metric_monotone needs metrics at 2 or more times; "
+                  f"this run has {n_times}"
+                  for a, line in assertions if a.check == "metric_monotone" and n_times < 2)
     return errors
+
+
+def _time_error(cfg, t):
+    """Why a run cannot report at time ``t``, or None.  A sampler records
+    whole steps, so ``t`` must be a multiple of tau (to a relative 1e-9)
+    within its steps; a grid solve reaches any ``t`` in 0..horizon (to a
+    relative 1e-9)."""
+    horizon = cfg.horizon()
+    if cfg.family == "stochastic":
+        k = t / cfg.tau
+        if abs(k - round(k)) > 1e-9 * max(1.0, abs(k)) or not 0 <= round(k) <= cfg.n_steps():
+            return (f"time {t:g} must be a whole number of tau={cfg.tau:g} steps "
+                    f"in 0..{horizon:g}")
+    elif not 0.0 <= t <= horizon * (1.0 + 1e-9):
+        return f"time {t:g} must lie in 0..{horizon:g}"
+    return None
 
 
 def _parse_init(node, errors, dim):
     """Initial condition: a point / list of points, or a mapping.
 
     Mappings: {kind: gaussian, mean: ..., var|cov: ...},
-    {kind: points, points: [[...], ...]}, {kind: gibbs}.  Every point and
-    mean must have ``dim`` coordinates (unchecked when ``dim`` is None).
-    A list of points starts one deterministic flow from each point, or
-    places sampler particles as ``kind: points`` does.
+    {kind: points, points: [[...], ...]}, {kind: gibbs}, with no other
+    keys.  Every point and mean must have ``dim`` coordinates (unchecked
+    when ``dim`` is None).  A list of points starts one deterministic flow
+    from each point, or places sampler particles as ``kind: points`` does.
     """
     if isinstance(node, yaml.SequenceNode):
         val = _construct(node)
@@ -464,10 +515,11 @@ def _parse_init(node, errors, dim):
     if isinstance(node, yaml.MappingNode):
         sub = _mapping_items(node, errors, "init")
         sf = _Field(sub, errors)
-        kind = sf.string("kind", choices=("gaussian", "points", "gibbs"))
+        kind = sf.string("kind", choices=tuple(_INIT_KEYS))
         if kind is None:
             errors.append(f"line {_line(node)}: init mapping needs 'kind'")
             return None
+        _unknown_keys(sub, _INIT_KEYS[kind], "init key", errors)
         if kind == "gibbs":
             return {"kind": "gibbs"}
         if kind == "gaussian":
@@ -516,9 +568,7 @@ def _parse_output(node, errors):
     sub = _mapping_items(node, errors, "output")
     if not sub:
         return None
-    for key in sub:
-        if key not in ("kind", "path", "times"):
-            errors.append(f"line {_line(sub[key])}: unknown output key {key!r}")
+    _unknown_keys(sub, ("kind", "path", "times"), "output key", errors)
     sf = _Field(sub, errors)
     kind = sf.string("kind", choices=tuple(sorted(
         {k for kinds in _OUTPUT_KINDS.values() for k in kinds})))
@@ -541,15 +591,12 @@ def _parse_assertion(node, errors, dim):
     if not sub:
         return None
     sf = _Field(sub, errors)
-    check = sf.string("check", choices=_ASSERTION_CHECKS)
+    check = sf.string("check", choices=tuple(_ASSERTION_KEYS))
     if check is None:
         errors.append(f"line {_line(node)}: assertion needs 'check'")
         return None
-    params = {}
+    _unknown_keys(sub, _ASSERTION_KEYS[check], "assertion key", errors)
     if check == "endpoint_near":
-        for key in sub:
-            if key not in ("check", "point", "tol"):
-                errors.append(f"line {_line(sub[key])}: unknown assertion key {key!r}")
         point_node = sub.get("point")
         tol = sf.floating("tol", minimum=0.0, exclusive=True)
         if point_node is None or tol is None:
@@ -561,9 +608,6 @@ def _parse_assertion(node, errors, dim):
         _check_dim(point_node, "point", len(point), dim, errors)
         params = {"point": point, "tol": tol}
     elif check == "metric_max":
-        for key in sub:
-            if key not in ("check", "metric", "time", "max"):
-                errors.append(f"line {_line(sub[key])}: unknown assertion key {key!r}")
         metric = sf.string("metric", choices=_METRIC_NAMES)
         at = sf.floating("time")
         limit = sf.floating("max")
@@ -572,9 +616,6 @@ def _parse_assertion(node, errors, dim):
             return None
         params = {"metric": metric, "time": at, "max": limit}
     else:  # metric_monotone
-        for key in sub:
-            if key not in ("check", "metric"):
-                errors.append(f"line {_line(sub[key])}: unknown assertion key {key!r}")
         metric = sf.string("metric", choices=_METRIC_NAMES)
         if metric is None:
             errors.append(f"line {_line(node)}: metric_monotone needs 'metric'")

@@ -2,10 +2,12 @@
 
 One process runs one experiment.  All randomness flows through the seeded
 counter-based stream, so rerunning a config reproduces every data
-artifact byte for byte; only the manifest's wall time differs.  Runs are
-single-threaded, and the configured worker count never changes a byte.
-A sampler config is one ``run_sampler`` call that records the states at
-every output time, which validation has made whole steps.
+artifact byte for byte; only the manifest's wall time differs.  The
+config is taken as ``parse_config`` accepted it: its time plan
+(``horizon()``, ``metric_times()``) says where each family reports, and
+the checks made there (``{i}``/``{t}`` paths, init forms, times,
+assertion coverage) are not repeated here.  A sampler config is one
+``run_sampler`` call that records the states at every output time.
 """
 
 from __future__ import annotations
@@ -118,84 +120,54 @@ def _run_deterministic(cfg, potential, out_root, artifacts, endpoint_states):
     endpoint_states.extend(t.final_state for t in trajectories)
 
     for spec in cfg.outputs:
-        if spec.kind == "trajectory":
-            for i, traj in enumerate(trajectories):
-                path = _indexed_path(spec.path, i, len(trajectories), out_root)
+        for i, traj in enumerate(trajectories):
+            path = _resolve(spec.path.replace("{i}", str(i)), out_root)
+            if spec.kind == "trajectory":
                 write_trajectory_csv(path, traj)
-                artifacts.append(path)
-        elif spec.kind == "rates":
-            for i, traj in enumerate(trajectories):
-                path = _indexed_path(spec.path, i, len(trajectories), out_root)
+            else:  # rates
                 write_rates_report(path, verify_rates(traj, potential))
-                artifacts.append(path)
-
-
-def _indexed_path(template: str, index: int, total: int, out_root) -> Path:
-    if "{i}" in template:
-        return _resolve(template.replace("{i}", str(index)), out_root)
-    if total > 1:
-        raise GradflowError(
-            f"output path {template!r} needs a '{{i}}' placeholder for {total} runs")
-    return _resolve(template, out_root)
+            artifacts.append(path)
 
 
 # --- stochastic samplers ------------------------------------------------------
 
-def _initial_ensemble(cfg, potential) -> Ensemble:
+def _initial_ensemble(cfg) -> Ensemble:
     rng = RngStream(cfg.seed)
     spec = cfg.init
     j = cfg.particles
     if isinstance(spec, list):  # one point, or a list of points as kind: points
         return Ensemble.at_points(rng, j, spec if isinstance(spec[0], list) else [spec])
-    kind = spec.get("kind")
-    if kind == "points":
+    if spec["kind"] == "points":
         return Ensemble.at_points(rng, j, spec["points"])
-    if kind == "gaussian":
-        mean = np.asarray(spec["mean"], dtype=float)
-        cov = (spec["var"] * np.eye(mean.size) if "var" in spec
-               else np.asarray(spec["cov"], dtype=float))
-        return Ensemble.gaussian(rng, j, mean, cov)
-    raise GradflowError(f"init kind {kind!r} is not valid for sampler methods")
+    mean = np.asarray(spec["mean"], dtype=float)
+    cov = (spec["var"] * np.eye(mean.size) if "var" in spec
+           else np.asarray(spec["cov"], dtype=float))
+    return Ensemble.gaussian(rng, j, mean, cov)
 
 
 def _grid_from_cfg(cfg) -> Grid1D:
     return Grid1D.from_bounds(cfg.grid["lo"], cfg.grid["hi"], cfg.grid["n"])
 
 
-def _assertion_times(cfg):
-    times = []
-    for a in cfg.assertions:
-        if a.check == "metric_max":
-            times.append(a.params["time"])
-    return times
-
-
 def _run_stochastic(cfg, potential, out_root, artifacts):
-    ensemble = _initial_ensemble(cfg, potential)
+    ensemble = _initial_ensemble(cfg)
     n_steps = cfg.n_steps()
     tau = cfg.tau
-
-    requested = []
-    for spec in cfg.outputs:
-        if spec.kind in ("histogram", "metrics"):
-            requested.extend(spec.times or [n_steps * tau])
-    requested.extend(_assertion_times(cfg))
-    if requested and ensemble.dim != 1:
-        raise GradflowError("histogram/metrics outputs need a 1-D problem")
+    metric_times = cfg.metric_times()
 
     want_samples = any(spec.kind == "samples" for spec in cfg.outputs)
     record = {0, n_steps}
-    record.update(int(round(t / tau)) for t in requested)
+    record.update(int(round(t / tau)) for t in metric_times)
     if want_samples:
         record.update(range(0, n_steps + 1, cfg.thin))
     run = run_sampler(cfg.method, potential, ensemble, tau, n_steps, record=record,
-                      workers=cfg.workers, ridge=cfg.ridge, bandwidth=cfg.bandwidth)
+                      ridge=cfg.ridge, bandwidth=cfg.bandwidth)
     states = dict(zip(run.steps.tolist(), run.states))
 
     grid = _grid_from_cfg(cfg) if cfg.grid else None
     # one histogram per time, shared by the metrics and the histogram outputs
     hists = {t: histogram(states[int(round(t / tau))][:, 0], grid)
-             for t in sorted(set(requested))}
+             for t in metric_times}
     metrics_rows = []
     if hists:
         target = gibbs_density(potential, grid)
@@ -211,8 +183,8 @@ def _run_stochastic(cfg, potential, out_root, artifacts):
             write_samples_csv(path, thinned)
             artifacts.append(path)
         elif spec.kind == "histogram":
-            for t in spec.times or [n_steps * tau]:
-                path = _timed_path(spec.path, t, spec.times, out_root)
+            for t in spec.times or [cfg.horizon()]:
+                path = _timed_path(spec.path, t, out_root)
                 write_density_csv(path, hists[t])
                 artifacts.append(path)
         elif spec.kind == "metrics":
@@ -237,27 +209,20 @@ def _metric_rows(t, dens, target):
     return rows
 
 
-def _timed_path(template: str, t: float, times, out_root) -> Path:
-    if "{t}" in template:
-        return _resolve(template.replace("{t}", f"{t:g}"), out_root)
-    if times and len(times) > 1:
-        raise GradflowError(
-            f"output path {template!r} needs a '{{t}}' placeholder for multiple times")
-    return _resolve(template, out_root)
+def _timed_path(template: str, t: float, out_root) -> Path:
+    return _resolve(template.replace("{t}", f"{t:g}"), out_root)
 
 
 # --- grid solves ---------------------------------------------------------------
 
 def _initial_grid_density(cfg, solver: FokkerPlanckSolver1D) -> GridDensity:
     spec = cfg.init
-    if isinstance(spec, dict) and spec.get("kind") == "gibbs":
+    if spec["kind"] == "gibbs":
         return solver.target()
-    if isinstance(spec, dict) and spec.get("kind") == "gaussian":
-        mean = np.asarray(spec["mean"], dtype=float).ravel()[0]
-        var = spec["var"] if "var" in spec else np.asarray(spec["cov"], dtype=float).ravel()[0]
-        x = solver.grid.centers()
-        return normalize(np.exp(-((x - mean) ** 2) / (2.0 * var)), solver.grid)
-    raise GradflowError("grid methods need init kind 'gaussian' or 'gibbs'")
+    mean = np.asarray(spec["mean"], dtype=float).ravel()[0]
+    var = spec["var"] if "var" in spec else np.asarray(spec["cov"], dtype=float).ravel()[0]
+    x = solver.grid.centers()
+    return normalize(np.exp(-((x - mean) ** 2) / (2.0 * var)), solver.grid)
 
 
 def _run_grid(cfg, potential, out_root, artifacts):
@@ -268,10 +233,8 @@ def _run_grid(cfg, potential, out_root, artifacts):
     step_fn = {"fpe": fpe_step, "fpe_weighted": weighted_fpe_step,
                "fpe_bdl": bdl_fpe_step}[cfg.method]
 
-    horizon = cfg.time if cfg.time is not None else cfg.steps * cfg.tau
-    out_times = sorted({t for spec in cfg.outputs for t in (spec.times or [horizon])
-                        if spec.kind in ("density", "metrics")}
-                       | set(_assertion_times(cfg)) | {horizon})
+    horizon = cfg.horizon()
+    out_times = cfg.metric_times()
 
     snapshots = {0.0: state}
     for t_target in out_times:
@@ -293,7 +256,7 @@ def _run_grid(cfg, potential, out_root, artifacts):
     for spec in cfg.outputs:
         if spec.kind == "density":
             for t in spec.times or [horizon]:
-                path = _timed_path(spec.path, t, spec.times, out_root)
+                path = _timed_path(spec.path, t, out_root)
                 write_density_csv(path, snapshots[t].density)
                 artifacts.append(path)
         elif spec.kind == "metrics":
@@ -312,9 +275,11 @@ def _run_grid(cfg, potential, out_root, artifacts):
 # --- assertions ----------------------------------------------------------------
 
 def _check_assertions(cfg, metrics_rows, endpoint_states):
-    by_key = {}
+    # metric -> {time: value}, in time order; parsing has made every
+    # metric_max time a metric time, and given metric_monotone two or more
+    series = {}
     for row in metrics_rows:
-        by_key.setdefault(row["metric"], []).append((row["time"], row["value"]))
+        series.setdefault(row["metric"], {})[row["time"]] = row["value"]
     for a in cfg.assertions:
         if a.check == "endpoint_near":
             point = np.asarray(a.params["point"], dtype=float)
@@ -327,19 +292,12 @@ def _check_assertions(cfg, metrics_rows, endpoint_states):
         elif a.check == "metric_max":
             want_t, limit = a.params["time"], a.params["max"]
             metric = a.params["metric"]
-            candidates = [v for t, v in by_key.get(metric, []) if abs(t - want_t) < 1e-9]
-            if not candidates:
+            value = series[metric][want_t]
+            if value > limit:
                 raise AssertionFailure(
-                    f"no {metric} value computed at time {want_t:g}")
-            if candidates[0] > limit:
-                raise AssertionFailure(
-                    f"{metric} at t={want_t:g} is {candidates[0]:.6g} > {limit:g}")
-        elif a.check == "metric_monotone":
-            series = sorted(by_key.get(a.params["metric"], []))
-            values = [v for _, v in series]
-            if len(values) < 2:
-                raise AssertionFailure(
-                    f"metric_monotone needs {a.params['metric']} at >= 2 times")
+                    f"{metric} at t={want_t:g} is {value:.6g} > {limit:g}")
+        else:  # metric_monotone
+            values = list(series[a.params["metric"]].values())
             for earlier, later in zip(values[:-1], values[1:]):
                 if later > earlier + 1e-12:
                     raise AssertionFailure(

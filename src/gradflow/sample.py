@@ -13,14 +13,13 @@ Ensemble initialization uses context 1 of the stream, dynamics context 0.
 Every step is a plain map from the ``(J, dim)`` particles and that step's
 draws to the next particles.  ``_transition`` is the one place that reads
 the stream, so the layout above is read off it, and ``run_sampler`` is a
-single loop over the transition it returns.  Runs are single-threaded:
-the worker count is accepted and never changes the output.
+single loop over the transition it returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -289,21 +288,17 @@ def _check_finite(particles: np.ndarray, step: int):
         raise DivergenceError(step=step, particle=int(np.argmin(finite)))
 
 
-def run_sampler(method: str, p: Potential, init: Union[Ensemble, np.ndarray],
-                tau: float, n_steps: int, thin: int = 1,
-                rng: Optional[RngStream] = None, workers: int = 1,
-                ridge: Optional[float] = None, bandwidth="auto",
-                record=None) -> SampleRun:
-    """Run a sampler for n_steps, recording every thin-th state.
+def run_sampler(method: str, p: Potential, init: Ensemble, tau: float,
+                n_steps: int, thin: int = 1, ridge: Optional[float] = None,
+                bandwidth="auto", record=None) -> SampleRun:
+    """Run a sampler for n_steps from the ensemble ``init``, recording
+    every thin-th state.
 
     ``record``, when given, replaces ``thin``: the step counts in
     0..n_steps after which the state is recorded.  The initial state is
     always recorded first, and the pooled moments in ``stats`` cover the
-    recorded states after it.  ``init`` is an Ensemble, or a single point
-    combined with ``rng`` (run as one chain).  Output is deterministic
-    given the stream seed; a non-finite state aborts with the offending
-    step and particle.  ``workers`` is accepted and has no effect: runs
-    are single-threaded.
+    recorded states after it.  Output is deterministic given the stream
+    seed; a non-finite state aborts with the offending step and particle.
     """
     if method not in ("ula", "mala", "ensemble", "bdl"):
         raise ValueError(f"unknown sampler method {method!r}")
@@ -316,23 +311,17 @@ def run_sampler(method: str, p: Potential, init: Union[Ensemble, np.ndarray],
     keep = set(range(0, n_steps + 1, thin) if record is None else record)
     if keep and not 0 <= min(keep) <= max(keep) <= n_steps:
         raise ValueError("record steps must lie in 0..n_steps")
-    if isinstance(init, Ensemble):
-        ens = init
-    else:
-        if rng is None:
-            raise ValueError("vector init requires an explicit rng stream")
-        ens = Ensemble(particles=np.atleast_2d(np.asarray(init, dtype=float)), rng=rng)
-    if ens.dim != p.dim:
-        raise ValueError(f"ensemble dimension {ens.dim} != potential dimension {p.dim}")
+    if init.dim != p.dim:
+        raise ValueError(f"ensemble dimension {init.dim} != potential dimension {p.dim}")
 
-    particles = ens.particles
+    particles = init.particles
     j, dim = particles.shape
-    step = _transition(method, p, ens.rng, tau, particles, ridge, bandwidth)
+    step = _transition(method, p, init.rng, tau, particles, ridge, bandwidth)
     recorded = [0]
     snaps = [particles]
     n_accepted = 0
     for local in range(1, n_steps + 1):
-        k = ens.step + local - 1  # stream step index for this transition
+        k = init.step + local - 1  # stream step index for this transition
         particles, accepted = step(particles, k)
         _check_finite(particles, k)
         n_accepted += accepted
@@ -340,7 +329,7 @@ def run_sampler(method: str, p: Potential, init: Union[Ensemble, np.ndarray],
             recorded.append(local)
             snaps.append(particles)
 
-    steps = ens.step + np.asarray(recorded, dtype=int)
+    steps = init.step + np.asarray(recorded, dtype=int)
     states = np.stack(snaps)
     pooled = states[1:] if states.shape[0] > 1 else states
     flat = pooled.reshape(-1, dim)

@@ -134,32 +134,41 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
+PROBLEMS = {1: ["double_well", "quadratic:0.5", "mixture:0.5,-2.0,0.5;0.5,2.0,0.5"],
+            2: ["quadratic:0.5,2.0", "pl_not_convex"],
+            3: ["quadratic:0.5,2.0,1.0"]}
+PATHS = ["out.csv", "runs/{i}/t.csv", "h_t{t}.csv", "yes", "1.5", "a b.txt"]
+
+
 @st.composite
 def _configs(draw):
-    """YAML text of a valid config: any method, tau or dt, steps or time,
-    every init form its family runs, outputs and assertions."""
+    """YAML text of a config that parsing accepts: any method, tau or dt,
+    steps or time, every init form its family runs, outputs and the
+    assertions its family takes, on a problem of the config's dimension."""
     method = draw(st.sampled_from(DETERMINISTIC_METHODS + STOCHASTIC_METHODS
                                   + GRID_METHODS))
     family = ("deterministic" if method in DETERMINISTIC_METHODS
               else "stochastic" if method in STOCHASTIC_METHODS else "grid")
     tau = draw(st.floats(min_value=1e-4, max_value=1.0))
-    doc = {"problem": draw(st.sampled_from(
-               ["double_well", "quadratic:0.5,2.0", "mixture:0.5,-2.0,0.5;0.5,2.0,0.5"])),
+    dim = 1 if family == "grid" else draw(st.integers(1, 3))
+    doc = {"problem": draw(st.sampled_from(PROBLEMS[dim])),
            "method": method,
            draw(st.sampled_from(["tau", "dt"])): tau}
     if draw(st.booleans()):
         doc["steps"] = n_steps = draw(st.integers(0, 10_000))
+        horizon = n_steps * tau
     else:
-        doc["time"] = draw(st.floats(min_value=1e-3, max_value=100.0))
+        doc["time"] = horizon = draw(st.floats(min_value=1e-3, max_value=100.0))
         n_steps = max(0, int(round(doc["time"] / tau)))
+        if family == "stochastic":
+            horizon = n_steps * tau
 
     def a_time():
-        # a sampler records whole steps; other families take any time
+        # a sampler records whole steps; a grid solve reaches any time in its horizon
         if family == "stochastic":
             return draw(st.integers(0, n_steps)) * tau
-        return draw(st.floats(min_value=0.0, max_value=100.0))
+        return draw(st.floats(min_value=0.0, max_value=horizon))
 
-    dim = draw(st.integers(1, 3))
     point = st.lists(FINITE, min_size=dim, max_size=dim)
     init_kind = draw(st.sampled_from({"deterministic": ["point", "list"],
                                       "stochastic": ["point", "list", "gaussian", "points"],
@@ -197,28 +206,43 @@ def _configs(draw):
         if draw(st.booleans()):
             doc[key] = draw(st.integers(1, 100))
 
+    # histograms and metrics run on the line only
+    metric_kinds = [] if dim > 1 else ["histogram", "metrics"]
     kinds = {"deterministic": ["trajectory", "rates"],
-             "stochastic": ["samples", "histogram", "metrics", "stats"],
+             "stochastic": ["samples", "stats"] + metric_kinds,
              "grid": ["density", "metrics", "rates"]}[family]
+    n_starts = len(doc["init"]) if init_kind == "list" else 1
+    metric_times = {horizon} if family == "grid" else set()
     outputs = []
     for kind in draw(st.lists(st.sampled_from(kinds), max_size=4)):
-        out = {"kind": kind, "path": draw(st.sampled_from(
-            ["out.csv", "runs/{i}/t.csv", "h_t{t}.csv", "yes", "1.5", "a b.txt"]))}
+        out = {"kind": kind}
         if kind in ("histogram", "density", "metrics") and draw(st.booleans()):
             out["times"] = [a_time() for _ in range(draw(st.integers(1, 3)))]
+        if kind in ("histogram", "density", "metrics"):
+            metric_times.update(out.get("times", [horizon]))
+        # many starts need an {i} path, a histogram or density at many times a {t} path
+        need = ("{i}" if n_starts > 1 else
+                "{t}" if kind in ("histogram", "density") and len(out.get("times", ())) > 1
+                else "")
+        out["path"] = draw(st.sampled_from([p for p in PATHS if need in p]))
         outputs.append(out)
     if outputs:
         doc["outputs"] = outputs
+    checks = {"deterministic": ["endpoint_near"],
+              "stochastic": ["metric_max", "metric_monotone"] if dim == 1 else [],
+              "grid": ["metric_max", "metric_monotone"]}[family]
     assertions = []
-    for check in draw(st.lists(st.sampled_from(
-            ["endpoint_near", "metric_max", "metric_monotone"]), max_size=3)):
+    for check in draw(st.lists(st.sampled_from(checks), max_size=3)) if checks else []:
         if check == "endpoint_near":
             assertions.append({"check": check, "point": draw(point), "tol": draw(POSITIVE)})
         elif check == "metric_max":
             assertions.append({"check": check, "metric": draw(st.sampled_from(
                 ["tv", "kl", "l2pinv"])), "time": a_time(), "max": draw(FINITE)})
+            metric_times.add(assertions[-1]["time"])
         else:
             assertions.append({"check": check, "metric": "kl"})
+    if len(metric_times) < 2:  # metric_monotone compares two or more times
+        assertions = [a for a in assertions if a["check"] != "metric_monotone"]
     if assertions:
         doc["assertions"] = assertions
     if draw(st.booleans()):
@@ -335,8 +359,8 @@ def test_good_points_and_cov_parse_as_floats():
     points = parse_config(TINY_ULA.replace(
         "  kind: gaussian\n" + GAUSSIAN_INIT, "  kind: points\n  points: [[1], [-2.5]]\n"))
     assert points.init == {"kind": "points", "points": [[1.0], [-2.5]]}
-    cov = parse_config(TINY_ULA.replace(GAUSSIAN_INIT, "  mean: [0.0, 1]\n"
-                                        "  cov: [[2, 0.5], [0.5, 1.0]]\n"))
+    cov = parse_config(SAMPLER_1D.replace("double_well", "quadratic:0.5,1.0") + (
+        "init:\n  kind: gaussian\n  mean: [0.0, 1]\n  cov: [[2, 0.5], [0.5, 1.0]]\n"))
     assert cov.init == {"kind": "gaussian", "mean": [0.0, 1.0],
                         "cov": [[2.0, 0.5], [0.5, 1.0]]}
 
@@ -369,6 +393,7 @@ def _rejected_by_validate_and_run(tmp_path, capsys, text, message):
     assert main(["run", str(cfg_path), "--out-root", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.count(f"config error: {message}") == 2, err
+    assert not list(tmp_path.rglob("manifest.json"))  # refused before any work
 
 
 def test_sampler_reads_a_list_of_points_as_points(tmp_path, capsys):
@@ -408,9 +433,8 @@ def test_histograms_and_metrics_on_a_2d_problem(tmp_path, capsys):
         tmp_path, capsys, text,
         "line 16: histograms and metrics need a 1-D problem; 'quadratic:0.5,1.0' is 2-D")
     with pytest.raises(ConfigError) as err:
-        parse_config(text, resolve_problem=True)
+        parse_config(text)
     assert [line[:8] for line in err.value.errors] == ["line 16:", "line 18:"]
-    assert parse_config(text).init["mean"] == [0.0, 0.0]  # structure alone is fine
 
 
 @pytest.mark.parametrize("text,message", [
@@ -433,6 +457,71 @@ def test_histograms_and_metrics_on_a_2d_problem(tmp_path, capsys):
 def test_points_and_init_forms_checked_against_problem_and_method(
         tmp_path, capsys, text, message):
     _rejected_by_validate_and_run(tmp_path, capsys, text, message)
+
+
+GRID_1D = """\
+problem: quadratic:0.5
+method: fpe
+tau: 0.001
+time: 0.1
+grid: {lo: -4.0, hi: 4.0, n: 41}
+init: {kind: gibbs}
+"""
+
+
+@pytest.mark.parametrize("text,message", [
+    (SAMPLER_1D + "init: {kind: gaussian, mean: [0.0], var: 1.0, sigma: 3.0}\n",
+     "line 7: unknown init key 'sigma'"),
+    (SAMPLER_1D + "init: {kind: points, points: [[0.0]], mean: [1.0]}\n",
+     "line 7: unknown init key 'mean'"),
+    (GRID_1D.replace("init: {kind: gibbs}", "init: {kind: gibbs, mean: [5.0]}"),
+     "line 6: unknown init key 'mean'"),
+], ids=["gaussian", "points", "gibbs"])
+def test_unknown_init_keys_are_config_errors(tmp_path, capsys, text, message):
+    _rejected_by_validate_and_run(tmp_path, capsys, text, message)
+
+
+def test_grid_times_must_lie_within_the_horizon(tmp_path, capsys):
+    text = GRID_1D + ("outputs:\n  - {kind: density, path: 'd_{t}.csv', "
+                      "times: [-1.0, 0.05, 2.0]}\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.errors == ["line 8: time -1 must lie in 0..0.1",
+                                "line 8: time 2 must lie in 0..0.1"]
+    _rejected_by_validate_and_run(tmp_path, capsys, text, "line 8: time 2 must lie in 0..0.1")
+    ok = parse_config(text.replace("-1.0, 0.05, 2.0", "0.0, 0.05, 0.1"))
+    assert ok.metric_times() == [0.0, 0.05, 0.1]
+
+
+@pytest.mark.parametrize("text,message", [
+    (SAMPLER_1D + "init: {kind: gaussian, mean: [0.0], var: 1.0}\nassertions:\n"
+     "  - {check: endpoint_near, point: [100.0], tol: 0.001}\n",
+     "line 9: check 'endpoint_near' not valid for method 'ula' "
+     "(allowed: metric_max, metric_monotone)"),
+    (MINIMAL_GD + "assertions:\n  - {check: metric_max, metric: tv, time: 20.0, max: 1.0}\n",
+     "line 7: check 'metric_max' not valid for method 'gd' (allowed: endpoint_near)"),
+    (MINIMAL_GD.replace("init: [0.5]", "init: [[0.5], [-0.5]]")
+     + "outputs:\n  - {kind: trajectory, path: traj.csv}\n",
+     "line 7: output path 'traj.csv' needs '{i}' for 2 starts"),
+    (GRID_1D + "outputs:\n  - {kind: density, path: d.csv, times: [0.05, 0.1]}\n",
+     "line 8: output path 'd.csv' needs '{t}' for 2 times"),
+    (GRID_1D + "assertions:\n  - {check: metric_monotone, metric: tv}\n",
+     "line 8: metric_monotone needs metrics at 2 or more times; this run has 1"),
+], ids=["endpoint_near-on-ula", "metric_max-on-gd", "two-starts-one-path",
+        "two-times-one-path", "monotone-at-one-time"])
+def test_what_a_run_would_find_late_is_a_config_error(tmp_path, capsys, text, message):
+    _rejected_by_validate_and_run(tmp_path, capsys, text, message)
+
+
+def test_time_plan_of_each_family():
+    sampler = parse_config(TINY_ULA + "assertions:\n"
+                           "  - {check: metric_max, metric: tv, time: 5.0, max: 1.0}\n")
+    # the histogram without times reports at the horizon, once
+    assert sampler.horizon() == 200 * 0.1 == 20.0
+    assert sampler.metric_times() == [5.0, 10.0, 20.0]
+    grid = parse_config(GRID_1D.replace("time: 0.1", "steps: 30"))
+    assert grid.horizon() == 30 * 0.001
+    assert grid.metric_times() == [30 * 0.001]
 
 
 def test_an_unknown_problem_still_fails_validate_at_runtime_exit(tmp_path, capsys):

@@ -294,17 +294,6 @@ def test_run_sampler_zero_steps_returns_initial():
     assert run.stats.acceptance_rate == 1.0
 
 
-@pytest.mark.parametrize("method", ["ula", "mala", "ensemble", "bdl"])
-def test_run_sampler_worker_count_invariance(method):
-    p = STD_GAUSSIAN
-    ens = Ensemble.gaussian(RngStream(60), 30, [0.5], [[1.0]])
-    runs = [run_sampler(method, p, ens, 0.05, 40, thin=10, workers=w)
-            for w in (1, 3, 8)]
-    for other in runs[1:]:
-        assert np.array_equal(runs[0].states, other.states)
-        assert runs[0].stats.n_accepted == other.stats.n_accepted
-
-
 def test_run_sampler_restart_matches_single_run():
     # stepping 25+15 through a carried ensemble equals one 40-step run
     ens = Ensemble.gaussian(RngStream(91), 12, [0.0], [[1.0]])
