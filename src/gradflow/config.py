@@ -3,13 +3,13 @@
 Configs are YAML mappings parsed in strict mode: unknown keys are
 rejected, every violation is reported with its line number, and all
 errors are collected before failing.  Parsing builds the problem's
-potential, checks points, means, grid methods and histograms against its
-dimension, and checks everything a run would otherwise find only after
-its work: which assertions the method takes, ``{i}``/``{t}`` path
-placeholders, and output times within the horizon.  A parsed config's
-``horizon()`` and ``metric_times()`` are the run's time plan.
-``serialize_config`` emits a canonical form that reparses to an equal
-config.
+potential, checks points, means, grid methods and histograms against it,
+and checks everything a run would otherwise find only after its work:
+which assertions the method takes, what the potential must provide, that
+no two files share a path, and output times within the horizon.  A
+parsed config's ``horizon()`` and ``metric_times()`` are the run's time
+plan, and ``files()`` its file plan.  ``serialize_config`` emits a
+canonical form that reparses to an equal config.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field as dc_field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 import yaml
@@ -132,7 +132,8 @@ class ExperimentConfig:
     def metric_times(self) -> List[float]:
         """The sorted times at which the run computes tv, kl and l2pinv: the
         times of each histogram, density or metrics output (the horizon for
-        one without), each metric_max time, and a grid solve's horizon."""
+        one without), each metric_max time, and a grid solve's horizon.  A
+        sampler has one state per step, so it keeps each step's earliest."""
         horizon = self.horizon()
         times = {t for spec in self.outputs if spec.kind in _TIMED_KINDS
                  for t in spec.times or [horizon]}
@@ -140,7 +141,27 @@ class ExperimentConfig:
                      if a.check == "metric_max")
         if self.family == "grid":
             times.add(horizon)
+        if self.family == "stochastic":
+            times = {round(t / self.tau): t for t in sorted(times, reverse=True)}.values()
         return sorted(times)
+
+    def files(self) -> List[Tuple[OutputSpec, str, object]]:
+        """Every file the run writes, in output order, as (output, path,
+        label): one per start of a deterministic run (label i, for ``{i}``),
+        one per time (else the horizon) of a histogram or density output
+        (label t, ``{t}`` -> ``f"{t:g}"``), else one at the literal path."""
+        n_starts = len(self.init) if np.ndim(self.init) == 2 else 1
+        files = []
+        for spec in self.outputs:
+            if self.family == "deterministic":
+                files += [(spec, spec.path.replace("{i}", str(i)), i)
+                          for i in range(n_starts)]
+            elif spec.kind in ("histogram", "density"):
+                files += [(spec, spec.path.replace("{t}", f"{t:g}"), t)
+                          for t in spec.times or [self.horizon()]]
+            else:
+                files.append((spec, spec.path, None))
+        return files
 
 
 def _family(method: str) -> str:
@@ -262,9 +283,6 @@ class _Field:
             return None
         return self._value(key, lambda v: isinstance(v, str), check, "a string")
 
-    def node(self, key):
-        return self.items.get(key)
-
 
 def _float_list(node, errors, where):
     val = _construct(node)
@@ -336,12 +354,13 @@ def parse_config(text: str) -> ExperimentConfig:
         errors.append("line 1: missing required key 'problem'")
     if "method" not in items:
         errors.append("line 1: missing required key 'method'")
-    dim, problem_error = None, None
+    potential, problem_error = None, None
     if problem is not None:
         try:
-            dim = from_identifier(problem).dim
+            potential = from_identifier(problem)
         except ValueError as exc:
             problem_error = exc
+    dim = None if potential is None else potential.dim
 
     tau = f.floating("tau", minimum=0.0, exclusive=True)
     dt = f.floating("dt", minimum=0.0, exclusive=True)
@@ -362,7 +381,7 @@ def parse_config(text: str) -> ExperimentConfig:
     manifest = f.string("manifest")
 
     bandwidth = "auto"
-    bw_node = f.node("bandwidth")
+    bw_node = items.get("bandwidth")
     if bw_node is not None:
         bw = _construct(bw_node)
         if bw == "auto":
@@ -373,7 +392,7 @@ def parse_config(text: str) -> ExperimentConfig:
             errors.append(f"line {_line(bw_node)}: bandwidth must be 'auto' or a positive number")
 
     grid = None
-    grid_node = f.node("grid")
+    grid_node = items.get("grid")
     if grid_node is not None:
         gitems = _mapping_items(grid_node, errors, "grid")
         _unknown_keys(gitems, ("lo", "hi", "n"), "grid key", errors)
@@ -391,7 +410,7 @@ def parse_config(text: str) -> ExperimentConfig:
             grid = {"lo": lo, "hi": hi, "n": n}
 
     init = None
-    init_node = f.node("init")
+    init_node = items.get("init")
     if init_node is not None:
         init = _parse_init(init_node, errors, dim)
 
@@ -412,7 +431,7 @@ def parse_config(text: str) -> ExperimentConfig:
         assertions=[spec for spec, _ in assertions],
         manifest=manifest if manifest is not None else "manifest.json")
     if method is not None:
-        errors.extend(_family_errors(cfg, items, dim, outputs, assertions))
+        errors.extend(_family_errors(cfg, items, potential, outputs, assertions))
     if errors:
         raise ConfigError(errors)
     if problem_error is not None:
@@ -420,12 +439,13 @@ def parse_config(text: str) -> ExperimentConfig:
     return cfg
 
 
-def _family_errors(cfg, items, dim, outputs, assertions):
+def _family_errors(cfg, items, potential, outputs, assertions):
     """What the method's family rules out: missing keys, init forms, output
-    kinds and checks it does not take, outputs that one path cannot hold,
-    and times the run does not reach.  ``outputs`` and ``assertions`` pair
-    each spec with its line."""
+    kinds and checks it does not take, what the potential (if known) lacks,
+    files that share a path, and times the run does not reach.  ``outputs``
+    and ``assertions`` pair each spec with its line."""
     family, method = cfg.family, cfg.method
+    dim = None if potential is None else potential.dim
     errors = [f"line 1: method {method!r} requires key {key!r}"
               for key in _REQUIRED_KEYS[family] if key not in items]
     init_kind = cfg.init.get("kind") if isinstance(cfg.init, dict) else "list"
@@ -452,17 +472,23 @@ def _family_errors(cfg, items, dim, outputs, assertions):
             errors.extend(f"line {line}: histograms and metrics need a 1-D problem; "
                           f"{cfg.problem!r} is {dim}-D" for line in histogram_lines)
 
-    n_starts = (len(cfg.init) if isinstance(cfg.init, list) and isinstance(cfg.init[0], list)
-                else 1)
-    for o, line in outputs:
-        if family == "deterministic" and n_starts > 1 and "{i}" not in o.path:
-            errors.append(f"line {line}: output path {o.path!r} needs '{{i}}' for "
-                          f"{n_starts} starts")
-        if o.kind in ("histogram", "density") and len(o.times or ()) > 1 and "{t}" not in o.path:
-            errors.append(f"line {line}: output path {o.path!r} needs '{{t}}' for "
-                          f"{len(o.times)} times")
+    if family == "deterministic" and potential is not None:
+        if method == "newton" and potential.hessian is None:
+            errors.append(f"line {_line(items['method'])}: method 'newton' needs a "
+                          f"potential with a Hessian; {cfg.problem!r} has none")
+        if potential.v_star is None:
+            errors.extend(f"line {line}: output kind 'rates' needs a potential with a "
+                          f"known minimum value; {cfg.problem!r} has none"
+                          for o, line in outputs if o.kind == "rates")
+        if (method == "mirror" and cfg.mirror_map == "negative_entropy"
+                and isinstance(cfg.init, list) and np.min(cfg.init) <= 0):
+            errors.append(f"line {_line(items['init'])}: mirror_map 'negative_entropy' "
+                          "needs every init coordinate > 0")
 
-    if family == "deterministic" or cfg.tau is None or (cfg.steps, cfg.time) == (None, None):
+    if cfg.tau is None or (cfg.steps, cfg.time) == (None, None):
+        return errors  # no horizon to place files and times at
+    errors.extend(_shared_path_errors(cfg, outputs))
+    if family == "deterministic":
         return errors
     timed = [(t, line) for o, line in outputs for t in o.times or ()]
     timed += [(a.params["time"], line) for a, line in assertions if a.check == "metric_max"]
@@ -473,6 +499,26 @@ def _family_errors(cfg, items, dim, outputs, assertions):
                   f"this run has {n_times}"
                   for a, line in assertions if a.check == "metric_monotone" and n_times < 2)
     return errors
+
+
+def _shared_path_errors(cfg, outputs):
+    """An error for each output with a file at a path that an earlier file
+    of ``cfg.files()`` takes: the run would overwrite that file."""
+    lines = {id(o): line for o, line in outputs}
+
+    def at(label):
+        return ("" if label is None else f" for start {label}"
+                if cfg.family == "deterministic" else f" at time {label!r}")
+
+    first, errors = {}, {}
+    for o, path, label in cfg.files():
+        if path in first and id(o) not in errors:
+            other, other_label = first[path]
+            errors[id(o)] = (f"line {lines[id(o)]}: output path {o.path!r} writes "
+                             f"{path!r}{at(label)}, as does line {lines[id(other)]}"
+                             f"{at(other_label)}")
+        first.setdefault(path, (o, label))
+    return list(errors.values())
 
 
 def _time_error(cfg, t):

@@ -3,11 +3,11 @@
 One process runs one experiment.  All randomness flows through the seeded
 counter-based stream, so rerunning a config reproduces every data
 artifact byte for byte; only the manifest's wall time differs.  The
-config is taken as ``parse_config`` accepted it: its time plan
-(``horizon()``, ``metric_times()``) says where each family reports, and
-the checks made there (``{i}``/``{t}`` paths, init forms, times,
-assertion coverage) are not repeated here.  A sampler config is one
-``run_sampler`` call that records the states at every output time.
+config is taken as ``parse_config`` accepted it, and the checks made
+there are not repeated here: its time plan (``horizon()``,
+``metric_times()``) says when each family reports, and the run writes
+exactly its file plan ``files()``, in that order.  A sampler config is
+one ``run_sampler`` call that records the states at every output time.
 """
 
 from __future__ import annotations
@@ -66,18 +66,21 @@ def run_experiment(cfg: ExperimentConfig, out_root=None, seed_override=None,
         cfg = ExperimentConfig(**{**cfg.__dict__, "workers": int(workers_override)})
 
     potential = from_identifier(cfg.problem)
+    run_family = {"deterministic": _run_deterministic, "stochastic": _run_stochastic,
+                  "grid": _run_grid}[cfg.family]
+    # products: output kind -> (writer, label -> payload)
+    products, endpoints, densities, target = run_family(cfg, potential)
+    metrics_rows = [row for t, dens in densities.items()
+                    for row in _metric_rows(t, dens, target)]
+    products["metrics"] = (write_metrics_csv, lambda _: metrics_rows)
+
     artifacts = []
-    metrics_rows = []
-    endpoint_states = []
+    for spec, path, label in cfg.files():
+        writer, payload = products[spec.kind]
+        artifacts.append(_resolve(path, out_root))
+        writer(artifacts[-1], payload(label))
 
-    if cfg.family == "deterministic":
-        _run_deterministic(cfg, potential, out_root, artifacts, endpoint_states)
-    elif cfg.family == "stochastic":
-        metrics_rows = _run_stochastic(cfg, potential, out_root, artifacts)
-    else:
-        metrics_rows = _run_grid(cfg, potential, out_root, artifacts)
-
-    _check_assertions(cfg, metrics_rows, endpoint_states)
+    _check_assertions(cfg, metrics_rows, endpoints)
 
     manifest = {
         "config": config_to_dict(cfg),
@@ -109,24 +112,15 @@ def _make_stepper(cfg: ExperimentConfig, potential):
     return mirror_stepper(mmap, cfg.tau)
 
 
-def _run_deterministic(cfg, potential, out_root, artifacts, endpoint_states):
-    init = cfg.init
-    starts = [init] if init and not isinstance(init[0], list) else list(init)
-    n_steps = cfg.n_steps()
-    trajectories = []
-    for start in starts:
-        stepper = _make_stepper(cfg, potential)  # fresh state per run (bfgs)
-        trajectories.append(run_flow(potential, stepper, start, n_steps, cfg.tau))
-    endpoint_states.extend(t.final_state for t in trajectories)
-
-    for spec in cfg.outputs:
-        for i, traj in enumerate(trajectories):
-            path = _resolve(spec.path.replace("{i}", str(i)), out_root)
-            if spec.kind == "trajectory":
-                write_trajectory_csv(path, traj)
-            else:  # rates
-                write_rates_report(path, verify_rates(traj, potential))
-            artifacts.append(path)
+def _run_deterministic(cfg, potential):
+    starts = cfg.init if np.ndim(cfg.init) == 2 else [cfg.init]
+    # a fresh stepper per start: bfgs keeps state
+    trajectories = [run_flow(potential, _make_stepper(cfg, potential), start,
+                             cfg.n_steps(), cfg.tau) for start in starts]
+    products = {"trajectory": (write_trajectory_csv, trajectories.__getitem__),
+                "rates": (write_rates_report,
+                          lambda i: verify_rates(trajectories[i], potential))}
+    return products, [t.final_state for t in trajectories], {}, None
 
 
 # --- stochastic samplers ------------------------------------------------------
@@ -149,68 +143,43 @@ def _grid_from_cfg(cfg) -> Grid1D:
     return Grid1D.from_bounds(cfg.grid["lo"], cfg.grid["hi"], cfg.grid["n"])
 
 
-def _run_stochastic(cfg, potential, out_root, artifacts):
-    ensemble = _initial_ensemble(cfg)
+def _run_stochastic(cfg, potential):
     n_steps = cfg.n_steps()
-    tau = cfg.tau
     metric_times = cfg.metric_times()
 
-    want_samples = any(spec.kind == "samples" for spec in cfg.outputs)
-    record = {0, n_steps}
-    record.update(int(round(t / tau)) for t in metric_times)
-    if want_samples:
+    def step(t):
+        return int(round(t / cfg.tau))
+
+    record = {0, n_steps, *map(step, metric_times)}
+    if any(spec.kind == "samples" for spec in cfg.outputs):
         record.update(range(0, n_steps + 1, cfg.thin))
-    run = run_sampler(cfg.method, potential, ensemble, tau, n_steps, record=record,
-                      ridge=cfg.ridge, bandwidth=cfg.bandwidth)
+    run = run_sampler(cfg.method, potential, _initial_ensemble(cfg), cfg.tau, n_steps,
+                      record=record, ridge=cfg.ridge, bandwidth=cfg.bandwidth)
     states = dict(zip(run.steps.tolist(), run.states))
 
     grid = _grid_from_cfg(cfg) if cfg.grid else None
-    # one histogram per time, shared by the metrics and the histogram outputs
-    hists = {t: histogram(states[int(round(t / tau))][:, 0], grid)
-             for t in metric_times}
-    metrics_rows = []
-    if hists:
-        target = gibbs_density(potential, grid)
-        for t, hist in hists.items():
-            metrics_rows.extend(_metric_rows(t, hist, target))
+    # one histogram per step, shared by the metrics and the histogram outputs
+    hists = {step(t): histogram(states[step(t)][:, 0], grid) for t in metric_times}
+    target = gibbs_density(potential, grid) if hists else None
 
-    for spec in cfg.outputs:
-        if spec.kind == "samples":
-            keep = (run.steps % cfg.thin == 0) | (run.steps == n_steps)
-            thinned = SampleRun(times=run.times[keep], steps=run.steps[keep],
-                                states=run.states[keep], stats=run.stats)
-            path = _resolve(spec.path, out_root)
-            write_samples_csv(path, thinned)
-            artifacts.append(path)
-        elif spec.kind == "histogram":
-            for t in spec.times or [cfg.horizon()]:
-                path = _timed_path(spec.path, t, out_root)
-                write_density_csv(path, hists[t])
-                artifacts.append(path)
-        elif spec.kind == "metrics":
-            path = _resolve(spec.path, out_root)
-            write_metrics_csv(path, metrics_rows)
-            artifacts.append(path)
-        elif spec.kind == "stats":
-            path = _resolve(spec.path, out_root)
-            write_chain_stats(path, run.stats)
-            artifacts.append(path)
-    return metrics_rows
+    def thinned(_):
+        keep = (run.steps % cfg.thin == 0) | (run.steps == n_steps)
+        return SampleRun(times=run.times[keep], steps=run.steps[keep],
+                         states=run.states[keep], stats=run.stats)
+
+    products = {"samples": (write_samples_csv, thinned),
+                "histogram": (write_density_csv, lambda t: hists[step(t)]),
+                "stats": (write_chain_stats, lambda _: run.stats)}
+    return products, [], {t: hists[step(t)] for t in metric_times}, target
 
 
 def _metric_rows(t, dens, target):
-    rows = [{"time": t, "metric": "tv", "value": tv_distance(dens, target)},
-            {"time": t, "metric": "kl", "value": kl_divergence(dens, target)}]
+    values = {"tv": tv_distance(dens, target), "kl": kl_divergence(dens, target)}
     try:
-        rows.append({"time": t, "metric": "l2pinv",
-                     "value": l2_pi_inv_norm(dens, target)})
+        values["l2pinv"] = l2_pi_inv_norm(dens, target)
     except ValueError:
-        rows.append({"time": t, "metric": "l2pinv", "value": float("nan")})
-    return rows
-
-
-def _timed_path(template: str, t: float, out_root) -> Path:
-    return _resolve(template.replace("{t}", f"{t:g}"), out_root)
+        values["l2pinv"] = float("nan")
+    return [{"time": t, "metric": metric, "value": v} for metric, v in values.items()]
 
 
 # --- grid solves ---------------------------------------------------------------
@@ -225,7 +194,7 @@ def _initial_grid_density(cfg, solver: FokkerPlanckSolver1D) -> GridDensity:
     return normalize(np.exp(-((x - mean) ** 2) / (2.0 * var)), solver.grid)
 
 
-def _run_grid(cfg, potential, out_root, artifacts):
+def _run_grid(cfg, potential):
     grid = _grid_from_cfg(cfg)
     solver = FokkerPlanckSolver1D(potential, grid)
     state = FpeState(density=_initial_grid_density(cfg, solver), time=0.0, solver=solver)
@@ -233,7 +202,6 @@ def _run_grid(cfg, potential, out_root, artifacts):
     step_fn = {"fpe": fpe_step, "fpe_weighted": weighted_fpe_step,
                "fpe_bdl": bdl_fpe_step}[cfg.method]
 
-    horizon = cfg.horizon()
     out_times = cfg.metric_times()
 
     snapshots = {0.0: state}
@@ -249,34 +217,19 @@ def _run_grid(cfg, potential, out_root, artifacts):
         snapshots[t_target] = state
 
     target = solver.target()
-    metrics_rows = []
-    for t in out_times:
-        metrics_rows.extend(_metric_rows(t, snapshots[t].density, target))
-
-    for spec in cfg.outputs:
-        if spec.kind == "density":
-            for t in spec.times or [horizon]:
-                path = _timed_path(spec.path, t, out_root)
-                write_density_csv(path, snapshots[t].density)
-                artifacts.append(path)
-        elif spec.kind == "metrics":
-            path = _resolve(spec.path, out_root)
-            write_metrics_csv(path, metrics_rows)
-            artifacts.append(path)
-        elif spec.kind == "rates":
-            ordered = [snapshots[0.0]] + [snapshots[t] for t in out_times if t > 0]
-            report = decay_report(ordered, target, potential.alpha)
-            path = _resolve(spec.path, out_root)
-            write_decay_report(path, report)
-            artifacts.append(path)
-    return metrics_rows
+    # the start, then each output time after it: 0.0 keeps its first place
+    products = {"density": (write_density_csv, lambda t: snapshots[t].density),
+                "rates": (write_decay_report, lambda _: decay_report(
+                    list(snapshots.values()), target, potential.alpha))}
+    return products, [], {t: snapshots[t].density for t in out_times}, target
 
 
 # --- assertions ----------------------------------------------------------------
 
 def _check_assertions(cfg, metrics_rows, endpoint_states):
-    # metric -> {time: value}, in time order; parsing has made every
-    # metric_max time a metric time, and given metric_monotone two or more
+    # metric -> {time: value}, in time order; parsing has given metric_monotone
+    # two or more times and each metric_max time a nearest metric time: itself,
+    # or for a sampler the one time of its step
     series = {}
     for row in metrics_rows:
         series.setdefault(row["metric"], {})[row["time"]] = row["value"]
@@ -292,7 +245,7 @@ def _check_assertions(cfg, metrics_rows, endpoint_states):
         elif a.check == "metric_max":
             want_t, limit = a.params["time"], a.params["max"]
             metric = a.params["metric"]
-            value = series[metric][want_t]
+            value = series[metric][min(series[metric], key=lambda t: abs(t - want_t))]
             if value > limit:
                 raise AssertionFailure(
                     f"{metric} at t={want_t:g} is {value:.6g} > {limit:g}")

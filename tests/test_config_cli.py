@@ -137,21 +137,30 @@ POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 PROBLEMS = {1: ["double_well", "quadratic:0.5", "mixture:0.5,-2.0,0.5;0.5,2.0,0.5"],
             2: ["quadratic:0.5,2.0", "pl_not_convex"],
             3: ["quadratic:0.5,2.0,1.0"]}
-PATHS = ["out.csv", "runs/{i}/t.csv", "h_t{t}.csv", "yes", "1.5", "a b.txt"]
+# no path here is another's expansion, so outputs at distinct paths never
+# share a file
+PATHS = ["out.csv", "yes", "1.5", "a b.txt",
+         "runs/{i}/t.csv", "{i}.csv", "r_{i}.txt", "no{i}",
+         "h_t{t}.csv", "d/{t}.csv", "t{t}", "x{t}y"]
 
 
 @st.composite
 def _configs(draw):
     """YAML text of a config that parsing accepts: any method, tau or dt,
     steps or time, every init form its family runs, outputs and the
-    assertions its family takes, on a problem of the config's dimension."""
+    assertions its family takes, on a problem of the config's dimension
+    that has what the method and outputs need, with no two files at one
+    path."""
     method = draw(st.sampled_from(DETERMINISTIC_METHODS + STOCHASTIC_METHODS
                                   + GRID_METHODS))
     family = ("deterministic" if method in DETERMINISTIC_METHODS
               else "stochastic" if method in STOCHASTIC_METHODS else "grid")
     tau = draw(st.floats(min_value=1e-4, max_value=1.0))
     dim = 1 if family == "grid" else draw(st.integers(1, 3))
-    doc = {"problem": draw(st.sampled_from(PROBLEMS[dim])),
+    # the mixture has no Hessian (newton) and no known minimum (rates)
+    problem = draw(st.sampled_from([p for p in PROBLEMS[dim]
+                                    if method != "newton" or "mixture" not in p]))
+    doc = {"problem": problem,
            "method": method,
            draw(st.sampled_from(["tau", "dt"])): tau}
     if draw(st.booleans()):
@@ -163,13 +172,14 @@ def _configs(draw):
         if family == "stochastic":
             horizon = n_steps * tau
 
-    def a_time():
-        # a sampler records whole steps; a grid solve reaches any time in its horizon
-        if family == "stochastic":
-            return draw(st.integers(0, n_steps)) * tau
-        return draw(st.floats(min_value=0.0, max_value=horizon))
-
-    point = st.lists(FINITE, min_size=dim, max_size=dim)
+    # a sampler records whole steps; a grid solve reaches any time in its horizon
+    times = (st.integers(0, n_steps).map(lambda k: k * tau) if family == "stochastic"
+             else st.floats(min_value=0.0, max_value=horizon))
+    if method == "mirror":
+        doc["mirror_map"] = draw(st.sampled_from(["quadratic", "negative_entropy"]))
+    # the negative-entropy map runs on the positive orthant
+    coordinate = POSITIVE if doc.get("mirror_map") == "negative_entropy" else FINITE
+    point = st.lists(coordinate, min_size=dim, max_size=dim)
     init_kind = draw(st.sampled_from({"deterministic": ["point", "list"],
                                       "stochastic": ["point", "list", "gaussian", "points"],
                                       "grid": ["gaussian", "gibbs"]}[family]))
@@ -198,8 +208,6 @@ def _configs(draw):
     if family != "deterministic" or draw(st.booleans()):
         lo, hi = sorted(draw(st.lists(FINITE, min_size=2, max_size=2, unique=True)))
         doc["grid"] = {"lo": lo, "hi": hi, "n": draw(st.integers(2, 5000))}
-    if method == "mirror":
-        doc["mirror_map"] = draw(st.sampled_from(["quadratic", "negative_entropy"]))
     if method in ("newton", "bfgs") and draw(st.booleans()):
         doc["ridge"] = draw(st.floats(min_value=0.0, max_value=1e3))
     for key in ("thin", "workers"):
@@ -208,23 +216,27 @@ def _configs(draw):
 
     # histograms and metrics run on the line only
     metric_kinds = [] if dim > 1 else ["histogram", "metrics"]
-    kinds = {"deterministic": ["trajectory", "rates"],
+    kinds = {"deterministic": ["trajectory"] + (["rates"] if "mixture" not in problem
+                                                 else []),
              "stochastic": ["samples", "stats"] + metric_kinds,
              "grid": ["density", "metrics", "rates"]}[family]
-    n_starts = len(doc["init"]) if init_kind == "list" else 1
+    n_starts = len(doc["init"]) if (family, init_kind) == ("deterministic", "list") else 1
     metric_times = {horizon} if family == "grid" else set()
     outputs = []
     for kind in draw(st.lists(st.sampled_from(kinds), max_size=4)):
         out = {"kind": kind}
         if kind in ("histogram", "density", "metrics") and draw(st.booleans()):
-            out["times"] = [a_time() for _ in range(draw(st.integers(1, 3)))]
+            # a histogram or density writes a file per time, named by f"{t:g}"
+            out["times"] = draw(st.lists(times, min_size=1, max_size=3, unique_by=(
+                None if kind == "metrics" else lambda t: f"{t:g}")))
         if kind in ("histogram", "density", "metrics"):
             metric_times.update(out.get("times", [horizon]))
         # many starts need an {i} path, a histogram or density at many times a {t} path
         need = ("{i}" if n_starts > 1 else
                 "{t}" if kind in ("histogram", "density") and len(out.get("times", ())) > 1
                 else "")
-        out["path"] = draw(st.sampled_from([p for p in PATHS if need in p]))
+        out["path"] = draw(st.sampled_from([p for p in PATHS if need in p and
+                                            p not in [o["path"] for o in outputs]]))
         outputs.append(out)
     if outputs:
         doc["outputs"] = outputs
@@ -237,7 +249,7 @@ def _configs(draw):
             assertions.append({"check": check, "point": draw(point), "tol": draw(POSITIVE)})
         elif check == "metric_max":
             assertions.append({"check": check, "metric": draw(st.sampled_from(
-                ["tv", "kl", "l2pinv"])), "time": a_time(), "max": draw(FINITE)})
+                ["tv", "kl", "l2pinv"])), "time": draw(times), "max": draw(FINITE)})
             metric_times.add(assertions[-1]["time"])
         else:
             assertions.append({"check": check, "metric": "kl"})
@@ -493,6 +505,25 @@ def test_grid_times_must_lie_within_the_horizon(tmp_path, capsys):
     assert ok.metric_times() == [0.0, 0.05, 0.1]
 
 
+MIXTURE = "mixture:0.5,-2.0,0.5;0.5,2.0,0.5"
+
+# a histogram at the horizon, 3 * 0.1 = 0.30000000000000004, and metrics
+# at 0.3: the one step 3
+SAMPLER_STEP_3 = """\
+problem: double_well
+method: ula
+tau: 0.1
+time: 0.3
+seed: 1
+particles: 50
+init: [0.0]
+grid: {lo: -3.0, hi: 3.0, n: 30}
+outputs:
+  - {kind: histogram, path: h.csv}
+  - {kind: metrics, path: m.csv, times: [0.3]}
+"""
+
+
 @pytest.mark.parametrize("text,message", [
     (SAMPLER_1D + "init: {kind: gaussian, mean: [0.0], var: 1.0}\nassertions:\n"
      "  - {check: endpoint_near, point: [100.0], tol: 0.001}\n",
@@ -502,13 +533,33 @@ def test_grid_times_must_lie_within_the_horizon(tmp_path, capsys):
      "line 7: check 'metric_max' not valid for method 'gd' (allowed: endpoint_near)"),
     (MINIMAL_GD.replace("init: [0.5]", "init: [[0.5], [-0.5]]")
      + "outputs:\n  - {kind: trajectory, path: traj.csv}\n",
-     "line 7: output path 'traj.csv' needs '{i}' for 2 starts"),
+     "line 7: output path 'traj.csv' writes 'traj.csv' for start 1, as does line 7 "
+     "for start 0"),
     (GRID_1D + "outputs:\n  - {kind: density, path: d.csv, times: [0.05, 0.1]}\n",
-     "line 8: output path 'd.csv' needs '{t}' for 2 times"),
+     "line 8: output path 'd.csv' writes 'd.csv' at time 0.1, as does line 8 at time 0.05"),
+    (GRID_1D + "outputs:\n  - {kind: density, path: 'd_{t}.csv', "
+     "times: [0.05000001, 0.05000002]}\n",
+     "line 8: output path 'd_{t}.csv' writes 'd_0.05.csv' at time 0.05000002, as does "
+     "line 8 at time 0.05000001"),
+    (SAMPLER_STEP_3.replace("histogram, path: h.csv", "samples, path: m.csv"),
+     "line 11: output path 'm.csv' writes 'm.csv', as does line 10"),
     (GRID_1D + "assertions:\n  - {check: metric_monotone, metric: tv}\n",
      "line 8: metric_monotone needs metrics at 2 or more times; this run has 1"),
+    (SAMPLER_STEP_3 + "assertions:\n  - {check: metric_monotone, metric: tv}\n",
+     "line 13: metric_monotone needs metrics at 2 or more times; this run has 1"),
+    (MINIMAL_GD.replace("double_well", MIXTURE)
+     + "outputs:\n  - {kind: rates, path: r.txt}\n",
+     f"line 7: output kind 'rates' needs a potential with a known minimum value; "
+     f"'{MIXTURE}' has none"),
+    (MINIMAL_GD.replace("double_well", MIXTURE).replace("gd", "newton"),
+     f"line 2: method 'newton' needs a potential with a Hessian; '{MIXTURE}' has none"),
+    (MINIMAL_GD.replace("gd", "mirror\nmirror_map: negative_entropy").replace(
+        "init: [0.5]", "init: [[0.5], [-0.5]]"),
+     "line 6: mirror_map 'negative_entropy' needs every init coordinate > 0"),
 ], ids=["endpoint_near-on-ula", "metric_max-on-gd", "two-starts-one-path",
-        "two-times-one-path", "monotone-at-one-time"])
+        "two-times-one-path", "two-times-one-name", "two-outputs-one-path",
+        "monotone-at-one-time", "monotone-at-one-step", "rates-without-v_star",
+        "newton-without-hessian", "negative-entropy-below-0"])
 def test_what_a_run_would_find_late_is_a_config_error(tmp_path, capsys, text, message):
     _rejected_by_validate_and_run(tmp_path, capsys, text, message)
 
@@ -522,6 +573,37 @@ def test_time_plan_of_each_family():
     grid = parse_config(GRID_1D.replace("time: 0.1", "steps: 30"))
     assert grid.horizon() == 30 * 0.001
     assert grid.metric_times() == [30 * 0.001]
+
+
+def test_a_sampler_reports_each_step_once(tmp_path):
+    # a metric_max at the horizon's own float finds the metrics of its step
+    cfg = parse_config(SAMPLER_STEP_3 + "assertions:\n  - {check: metric_max, "
+                       "metric: tv, time: 0.30000000000000004, max: 1.0}\n")
+    assert cfg.metric_times() == [0.3]
+    run_experiment(cfg, out_root=tmp_path)
+    rows = [row.split(",") for row in (tmp_path / "m.csv").read_text().splitlines()[1:]]
+    assert [(float(t), metric) for t, metric, _ in rows] == [
+        (0.3, "tv"), (0.3, "kl"), (0.3, "l2pinv")]
+    assert (tmp_path / "h.csv").exists()
+
+
+@pytest.mark.parametrize("text,paths", [
+    (MINIMAL_GD.replace("init: [0.5]", "init: [[0.5], [-0.5]]") + (
+        "outputs:\n  - {kind: trajectory, path: 'traj_{i}.csv'}\n"
+        "  - {kind: rates, path: 'r/{i}.txt'}\n"),
+     ["traj_0.csv", "traj_1.csv", "r/0.txt", "r/1.txt"]),
+    (TINY_ULA, ["hist.csv", "metrics.csv", "samples.csv", "stats.txt"]),
+    (GRID_1D + ("outputs:\n  - {kind: rates, path: '{i}.txt'}\n"
+                "  - {kind: density, path: 'd_{t}.csv', times: [0.05, 0.1]}\n"
+                "  - {kind: metrics, path: '{t}.csv'}\n"),
+     ["{i}.txt", "d_0.05.csv", "d_0.1.csv", "{t}.csv"]),
+], ids=["deterministic", "stochastic", "grid"])
+def test_a_run_writes_its_file_plan(tmp_path, text, paths):
+    cfg = parse_config(text)
+    assert [path for _, path, _ in cfg.files()] == paths
+    manifest = run_experiment(cfg, out_root=tmp_path)
+    assert manifest["artifacts"] == [str(tmp_path / path) for _, path, _ in cfg.files()]
+    assert all((tmp_path / path).exists() for path in paths)
 
 
 def test_an_unknown_problem_still_fails_validate_at_runtime_exit(tmp_path, capsys):
