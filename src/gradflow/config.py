@@ -1,23 +1,25 @@
 """Declarative experiment configs.
 
 Configs are YAML mappings parsed in strict mode: unknown keys are
-rejected, every violation is reported with its line number, and all
-errors are collected before failing.  Parsing builds the problem's
-potential, checks points, means, grid methods and histograms against it,
-and checks everything a run would otherwise find only after its work:
-which assertions the method takes, what the potential must provide, that
-no two files share a path, and output times within the horizon.  A
-parsed config's ``horizon()`` and ``metric_times()`` are the run's time
-plan, and ``files()`` its file plan.  ``serialize_config`` emits a
-canonical form that reparses to an equal config.
+rejected, and every violation is collected and reported with its line.
+``_KEYS`` is the one place a top-level key is declared (its reader,
+bound and presence rule; its default is its ``ExperimentConfig``
+field's), each nested mapping is one record, and ``_FAMILIES`` says what
+each method family takes.  Parsing builds the problem's potential and
+refuses everything a run would otherwise find only after its work, such
+as two files at one path (the manifest among them).  A parsed config's
+``horizon()``, ``metric_times()`` and ``files()`` are the run's time and
+file plan.  ``serialize_config`` emits a canonical form that reparses to
+an equal config.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import re
-from dataclasses import dataclass, field as dc_field
-from typing import List, Optional, Tuple
+from dataclasses import MISSING, dataclass, field as dc_field, fields
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 import yaml
@@ -41,43 +43,26 @@ STOCHASTIC_METHODS = ("ula", "mala", "ensemble", "bdl")
 GRID_METHODS = ("fpe", "fpe_weighted", "fpe_bdl")
 ALL_METHODS = DETERMINISTIC_METHODS + STOCHASTIC_METHODS + GRID_METHODS
 
-_OUTPUT_KINDS = {
-    "deterministic": ("trajectory", "rates"),
-    "stochastic": ("samples", "histogram", "metrics", "stats"),
-    "grid": ("density", "metrics", "rates"),
+
+class _Family(NamedTuple):
+    methods: tuple
+    required: tuple  # top-level keys its methods need
+    inits: tuple     # init forms it runs: "list" is a point or a list of points
+    outputs: tuple   # output kinds
+    checks: tuple    # assertion checks
+
+
+_FAMILIES = {
+    "deterministic": _Family(DETERMINISTIC_METHODS, ("init",), ("list",),
+                             ("trajectory", "rates"), ("endpoint_near",)),
+    "stochastic": _Family(STOCHASTIC_METHODS, ("seed", "particles", "init"),
+                          ("list", "gaussian", "points"),
+                          ("samples", "histogram", "metrics", "stats"),
+                          ("metric_max", "metric_monotone")),
+    "grid": _Family(GRID_METHODS, ("grid", "init"), ("gaussian", "gibbs"),
+                    ("density", "metrics", "rates"), ("metric_max", "metric_monotone")),
 }
 _TIMED_KINDS = ("histogram", "density", "metrics")
-# init forms each family runs: "list" is a point or a list of points
-_INIT_KINDS = {
-    "deterministic": ("list",),
-    "stochastic": ("list", "gaussian", "points"),
-    "grid": ("gaussian", "gibbs"),
-}
-_INIT_KEYS = {
-    "gaussian": ("kind", "mean", "var", "cov"),
-    "points": ("kind", "points"),
-    "gibbs": ("kind",),
-}
-_METRIC_NAMES = ("tv", "kl", "l2pinv")
-_ASSERTION_KEYS = {
-    "endpoint_near": ("check", "point", "tol"),
-    "metric_max": ("check", "metric", "time", "max"),
-    "metric_monotone": ("check", "metric"),
-}
-_ASSERTION_CHECKS = {
-    "deterministic": ("endpoint_near",),
-    "stochastic": ("metric_max", "metric_monotone"),
-    "grid": ("metric_max", "metric_monotone"),
-}
-_REQUIRED_KEYS = {
-    "deterministic": ("init",),
-    "stochastic": ("seed", "particles", "init"),
-    "grid": ("grid", "init"),
-}
-
-_TOP_KEYS = ("problem", "method", "tau", "dt", "steps", "time", "seed",
-             "particles", "init", "grid", "thin", "workers", "ridge",
-             "bandwidth", "mirror_map", "outputs", "assertions", "manifest")
 
 
 @dataclass(eq=True)
@@ -115,7 +100,8 @@ class ExperimentConfig:
 
     @property
     def family(self) -> str:
-        return _family(self.method)
+        return next(name for name, family in _FAMILIES.items()
+                    if self.method in family.methods)
 
     def n_steps(self) -> int:
         if self.steps is not None:
@@ -162,14 +148,6 @@ class ExperimentConfig:
             else:
                 files.append((spec, spec.path, None))
         return files
-
-
-def _family(method: str) -> str:
-    if method in DETERMINISTIC_METHODS:
-        return "deterministic"
-    if method in STOCHASTIC_METHODS:
-        return "stochastic"
-    return "grid"
 
 
 # --- node-level helpers ------------------------------------------------------
@@ -236,62 +214,6 @@ def _list_items(items: dict, key: str, errors) -> list:
     return node.value
 
 
-class _Field:
-    """Typed extraction from a mapping of YAML nodes, accumulating errors."""
-
-    def __init__(self, items: dict, errors: list):
-        self.items = items
-        self.errors = errors
-
-    def _value(self, key, kind, check, describe):
-        node = self.items.get(key)
-        if node is None:
-            return None
-        val = _construct(node)
-        if not kind(val):
-            self.errors.append(f"line {_line(node)}: {key} must be {describe}")
-            return None
-        msg = check(val) if check else None
-        if msg:
-            self.errors.append(f"line {_line(node)}: {key} {msg}")
-            return None
-        return val
-
-    def floating(self, key, minimum=None, exclusive=False):
-        def check(v):
-            if minimum is not None:
-                if exclusive and not v > minimum:
-                    return f"must be > {minimum}"
-                if not exclusive and not v >= minimum:
-                    return f"must be >= {minimum}"
-            return None
-        val = self._value(key, _is_number, check, "a finite number")
-        return None if val is None else float(val)
-
-    def integer(self, key, minimum=None):
-        def check(v):
-            if minimum is not None and v < minimum:
-                return f"must be >= {minimum}"
-            return None
-        return self._value(key, lambda v: isinstance(v, int)
-                           and not isinstance(v, bool), check, "an integer")
-
-    def string(self, key, choices=None):
-        def check(v):
-            if choices and v not in choices:
-                return f"must be one of {', '.join(choices)}"
-            return None
-        return self._value(key, lambda v: isinstance(v, str), check, "a string")
-
-
-def _float_list(node, errors, where):
-    val = _construct(node)
-    if isinstance(val, list) and val and all(_is_number(v) for v in val):
-        return [float(v) for v in val]
-    errors.append(f"line {_line(node)}: {where} must be a nonempty list of finite numbers")
-    return None
-
-
 def _check_dim(node, what: str, n: int, dim, errors) -> None:
     """Report ``what`` (n coordinates) unless it fits a dim-D problem."""
     if dim is not None and n != dim:
@@ -328,6 +250,131 @@ def _cov_error(rows, side: int):
     return None
 
 
+class _Invalid(ValueError):
+    """Why a value does not fit its key, as in ``must be a string``."""
+
+
+def _typed(kind, minimum=None, strict=False, choices=()):
+    """A reader of a ``kind`` value (float, int or str): > ``minimum`` if
+    strict, else >= it, and one of ``choices`` when they are given."""
+    describe, accepts = {float: ("a finite number", _is_number),
+                         int: ("an integer", lambda v: type(v) is int),
+                         str: ("a string", lambda v: isinstance(v, str))}[kind]
+
+    def read(v):
+        if not accepts(v):
+            raise _Invalid(f"must be {describe}")
+        if minimum is not None and not (v > minimum if strict else v >= minimum):
+            raise _Invalid(f"must be {'>' if strict else '>='} {minimum}")
+        if choices and v not in choices:
+            raise _Invalid(f"must be one of {', '.join(choices)}")
+        return kind(v)
+    return read
+
+
+def _bandwidth(v):
+    if v != "auto" and not (_is_number(v) and v > 0):
+        raise _Invalid("must be 'auto' or a positive number")
+    return v if v == "auto" else float(v)
+
+
+def _reals(v):
+    if isinstance(v, list) and v and all(_is_number(x) for x in v):
+        return [float(x) for x in v]
+    raise _Invalid("must be a nonempty list of finite numbers")
+
+
+def _mean(v):
+    return [float(v)] if _is_number(v) else _reals(v)
+
+
+def _rows(v):
+    rows = _number_rows(v)
+    if rows is None:
+        raise _Invalid("must be a list of equal-length lists of finite numbers")
+    return rows
+
+
+def _read(items: dict, key: str, read, errors):
+    """``key``'s value in ``items`` (key -> node) as ``read`` reads it (its
+    node if ``read`` is None), or None when it is absent or invalid."""
+    node = items.get(key)
+    if node is None or read is None:
+        return node
+    try:
+        return read(_construct(node))
+    except _Invalid as why:
+        errors.append(f"line {_line(node)}: {key} {why}")
+        return None
+
+
+_POSITIVE = _typed(float, 0.0, strict=True)
+
+# Every top-level key with its reader (None: a mapping or list parsed on
+# its own), in the order parsing reports them, grouped by presence rule:
+# each "required" key must be given, and exactly one of a "one of" pair.
+# An absent or invalid key keeps its ExperimentConfig default.
+_KEYS = (
+    ("required", {"problem": _typed(str), "method": _typed(str, choices=ALL_METHODS)}),
+    ("one of", {"tau": _POSITIVE, "dt": _POSITIVE}),
+    ("one of", {"steps": _typed(int, 0), "time": _POSITIVE}),
+    ("optional", {"seed": _typed(int), "particles": _typed(int, 1), "thin": _typed(int, 1),
+                  "workers": _typed(int, 1), "ridge": _typed(float, 0.0),
+                  "mirror_map": _typed(str, choices=("quadratic", "negative_entropy")),
+                  "manifest": _typed(str), "bandwidth": _bandwidth,
+                  "grid": None, "init": None, "outputs": None, "assertions": None}),
+)
+
+# the nested mappings, each a record (readers, needs, message) for _record
+_GRID = {"lo": _typed(float), "hi": _typed(float), "n": _typed(int, 2)}
+_OUTPUT = ({"kind": _typed(str, choices=sorted({k for f in _FAMILIES.values()
+                                                for k in f.outputs})),
+            "path": _typed(str), "times": None},
+           ("kind", "path"), "output needs 'kind' and 'path'")
+# the record of each init kind and assertion check, but for the key naming it
+_INITS = {
+    "gaussian": ({"mean": None, "var": None, "cov": None}, ("mean",),
+                 "gaussian init needs 'mean'"),
+    "points": ({"points": None}, ("points",), "points init needs 'points'"),
+    "gibbs": ({},),
+}
+_METRIC = _typed(str, choices=("tv", "kl", "l2pinv"))
+_CHECKS = {
+    "endpoint_near": ({"point": None, "tol": _POSITIVE}, ("point", "tol"),
+                      "endpoint_near needs 'point' and 'tol'"),
+    "metric_max": ({"metric": _METRIC, "time": _typed(float), "max": _typed(float)},
+                   ("metric", "time", "max"), "metric_max needs 'metric', 'time', 'max'"),
+    "metric_monotone": ({"metric": _METRIC}, ("metric",), "metric_monotone needs 'metric'"),
+}
+
+
+def _record(items: dict, line: int, errors, what: str, readers: dict, needs=(),
+            message="", known=()):
+    """Read ``items`` as a record of ``readers`` (key -> reader; None leaves
+    the node, which the caller reads after this check): report each key
+    outside ``known`` and ``readers`` as an unknown ``what`` key, and return
+    key -> value (None for an absent or invalid one); or None, after
+    reporting ``message``, when a key of ``needs`` is either."""
+    _unknown_keys(items, (*known, *readers), f"{what} key", errors)
+    values = {key: _read(items, key, read, errors) for key, read in readers.items()}
+    if any(values[key] is None for key in needs):
+        errors.append(f"line {line}: {message}")
+        return None
+    return values
+
+
+def _variant(items: dict, line: int, errors, what: str, key: str, variants: dict,
+             message: str):
+    """The variant that ``key`` names, and its record's values read as by
+    ``_record``; (None, None), after reporting ``message``, when ``key`` is
+    absent or names no variant."""
+    name = _read(items, key, _typed(str, choices=tuple(variants)), errors)
+    if name is None:
+        errors.append(f"line {line}: {message}")
+        return None, None
+    return name, _record(items, line, errors, what, *variants[name], known=(key,))
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate; raises ConfigError listing every violation.
 
@@ -346,91 +393,41 @@ def parse_config(text: str) -> ExperimentConfig:
     if errors:
         raise ConfigError(errors)
 
-    _unknown_keys(items, _TOP_KEYS, "key", errors)
-    f = _Field(items, errors)
-    problem = f.string("problem")
-    method = f.string("method", choices=ALL_METHODS)
-    if "problem" not in items:
-        errors.append("line 1: missing required key 'problem'")
-    if "method" not in items:
-        errors.append("line 1: missing required key 'method'")
+    _unknown_keys(items, [key for _, keys in _KEYS for key in keys], "key", errors)
+    values = {}
+    for rule, keys in _KEYS:
+        values.update((key, _read(items, key, read, errors)) for key, read in keys.items())
+        if rule == "required":
+            errors.extend(f"line 1: missing required key {key!r}"
+                          for key in keys if key not in items)
+        elif rule == "one of" and sum(key in items for key in keys) != 1:
+            errors.append("line 1: exactly one of {!r} or {!r} is required".format(*keys))
+
     potential, problem_error = None, None
-    if problem is not None:
+    if values["problem"] is not None:
         try:
-            potential = from_identifier(problem)
+            potential = from_identifier(values["problem"])
         except ValueError as exc:
             problem_error = exc
     dim = None if potential is None else potential.dim
 
-    tau = f.floating("tau", minimum=0.0, exclusive=True)
-    dt = f.floating("dt", minimum=0.0, exclusive=True)
-    if ("tau" in items) == ("dt" in items):
-        errors.append("line 1: exactly one of 'tau' or 'dt' is required")
-
-    steps = f.integer("steps", minimum=0)
-    time = f.floating("time", minimum=0.0, exclusive=True)
-    if ("steps" in items) == ("time" in items):
-        errors.append("line 1: exactly one of 'steps' or 'time' is required")
-
-    seed = f.integer("seed")
-    particles = f.integer("particles", minimum=1)
-    thin = f.integer("thin", minimum=1)
-    workers = f.integer("workers", minimum=1)
-    ridge = f.floating("ridge", minimum=0.0)
-    mirror_map = f.string("mirror_map", choices=("quadratic", "negative_entropy"))
-    manifest = f.string("manifest")
-
-    bandwidth = "auto"
-    bw_node = items.get("bandwidth")
-    if bw_node is not None:
-        bw = _construct(bw_node)
-        if bw == "auto":
-            bandwidth = "auto"
-        elif _is_number(bw) and bw > 0:
-            bandwidth = float(bw)
-        else:
-            errors.append(f"line {_line(bw_node)}: bandwidth must be 'auto' or a positive number")
-
-    grid = None
-    grid_node = items.get("grid")
-    if grid_node is not None:
-        gitems = _mapping_items(grid_node, errors, "grid")
-        _unknown_keys(gitems, ("lo", "hi", "n"), "grid key", errors)
-        gf = _Field(gitems, errors)
-        lo = gf.floating("lo")
-        hi = gf.floating("hi")
-        n = gf.integer("n", minimum=2)
-        missing = [k for k in ("lo", "hi", "n") if k not in gitems]
-        if missing:
-            errors.append(f"line {_line(grid_node)}: grid needs keys lo, hi, n "
-                          f"(missing {', '.join(missing)})")
-        elif lo is not None and hi is not None and hi <= lo:
-            errors.append(f"line {_line(grid_node)}: grid needs hi > lo")
-        if lo is not None and hi is not None and n is not None and hi > lo:
-            grid = {"lo": lo, "hi": hi, "n": n}
-
-    init = None
-    init_node = items.get("init")
-    if init_node is not None:
-        init = _parse_init(init_node, errors, dim)
-
+    if values["grid"] is not None:
+        values["grid"] = _parse_grid(values["grid"], errors)
+    if values["init"] is not None:
+        values["init"] = _parse_init(values["init"], errors, dim)
     # each parsed output and assertion with the line it starts on
     outputs = [(spec, _line(item)) for item in _list_items(items, "outputs", errors)
                if (spec := _parse_output(item, errors))]
     assertions = [(spec, _line(item)) for item in _list_items(items, "assertions", errors)
                   if (spec := _parse_assertion(item, errors, dim))]
+    values["outputs"] = [spec for spec, _ in outputs]
+    values["assertions"] = [spec for spec, _ in assertions]
 
-    cfg = ExperimentConfig(
-        problem=problem, method=method, tau=tau if tau is not None else dt,
-        steps=steps, time=time, seed=seed, particles=particles, init=init, grid=grid,
-        thin=thin if thin is not None else 1,
-        workers=workers if workers is not None else 1,
-        ridge=ridge, bandwidth=bandwidth,
-        mirror_map=mirror_map if mirror_map is not None else "quadratic",
-        outputs=[spec for spec, _ in outputs],
-        assertions=[spec for spec, _ in assertions],
-        manifest=manifest if manifest is not None else "manifest.json")
-    if method is not None:
+    tau, dt = values.pop("tau"), values.pop("dt")
+    cfg = ExperimentConfig(problem=values.pop("problem"), method=values.pop("method"),
+                           tau=dt if tau is None else tau,
+                           **{key: val for key, val in values.items() if val is not None})
+    if cfg.method is not None:
         errors.extend(_family_errors(cfg, items, potential, outputs, assertions))
     if errors:
         raise ConfigError(errors)
@@ -445,20 +442,21 @@ def _family_errors(cfg, items, potential, outputs, assertions):
     files that share a path, and times the run does not reach.  ``outputs``
     and ``assertions`` pair each spec with its line."""
     family, method = cfg.family, cfg.method
+    rules = _FAMILIES[family]
     dim = None if potential is None else potential.dim
     errors = [f"line 1: method {method!r} requires key {key!r}"
-              for key in _REQUIRED_KEYS[family] if key not in items]
+              for key in rules.required if key not in items]
     init_kind = cfg.init.get("kind") if isinstance(cfg.init, dict) else "list"
-    if cfg.init is not None and init_kind not in _INIT_KINDS[family]:
+    if cfg.init is not None and init_kind not in rules.inits:
         errors.append(f"line {_line(items['init'])}: init {init_kind!r} is not valid "
                       f"for method {method!r} (allowed: "
-                      f"{', '.join(_INIT_KINDS[family])})")
+                      f"{', '.join(rules.inits)})")
     if family == "grid" and dim not in (None, 1):
         errors.append(f"line {_line(items['problem'])}: method {method!r} needs a "
                       f"1-D problem; {cfg.problem!r} is {dim}-D")
     for what, specs, allowed in (
-            ("output kind", [(o.kind, line) for o, line in outputs], _OUTPUT_KINDS[family]),
-            ("check", [(a.check, line) for a, line in assertions], _ASSERTION_CHECKS[family])):
+            ("output kind", [(o.kind, line) for o, line in outputs], rules.outputs),
+            ("check", [(a.check, line) for a, line in assertions], rules.checks)):
         errors.extend(f"line {line}: {what} {name!r} not valid for method {method!r} "
                       f"(allowed: {', '.join(allowed)})"
                       for name, line in specs if name not in allowed)
@@ -502,22 +500,23 @@ def _family_errors(cfg, items, potential, outputs, assertions):
 
 
 def _shared_path_errors(cfg, outputs):
-    """An error for each output with a file at a path that an earlier file
-    of ``cfg.files()`` takes: the run would overwrite that file."""
+    """An error for each output with a file at the manifest's path or at a
+    path that an earlier file of ``cfg.files()`` takes, paths compared in
+    ``os.path.normpath`` form: the run would overwrite that file."""
     lines = {id(o): line for o, line in outputs}
 
     def at(label):
         return ("" if label is None else f" for start {label}"
                 if cfg.family == "deterministic" else f" at time {label!r}")
 
-    first, errors = {}, {}
+    # each path taken so far, with what took it first
+    first, errors = {os.path.normpath(cfg.manifest): "the manifest"}, {}
     for o, path, label in cfg.files():
-        if path in first and id(o) not in errors:
-            other, other_label = first[path]
+        key = os.path.normpath(path)
+        if key in first and id(o) not in errors:
             errors[id(o)] = (f"line {lines[id(o)]}: output path {o.path!r} writes "
-                             f"{path!r}{at(label)}, as does line {lines[id(other)]}"
-                             f"{at(other_label)}")
-        first.setdefault(path, (o, label))
+                             f"{path!r}{at(label)}, as does {first[key]}")
+        first.setdefault(key, f"line {lines[id(o)]}{at(label)}")
     return list(errors.values())
 
 
@@ -537,15 +536,23 @@ def _time_error(cfg, t):
     return None
 
 
-def _parse_init(node, errors, dim):
-    """Initial condition: a point / list of points, or a mapping.
+def _parse_grid(node, errors):
+    items = _mapping_items(node, errors, "grid")
+    grid = _record(items, _line(node), errors, "grid", _GRID)
+    missing = [key for key in grid if key not in items]
+    if missing:
+        errors.append(f"line {_line(node)}: grid needs keys lo, hi, n "
+                      f"(missing {', '.join(missing)})")
+    elif None not in (grid["lo"], grid["hi"]) and grid["hi"] <= grid["lo"]:
+        errors.append(f"line {_line(node)}: grid needs hi > lo")
+    return None if None in grid.values() or grid["hi"] <= grid["lo"] else grid
 
-    Mappings: {kind: gaussian, mean: ..., var|cov: ...},
-    {kind: points, points: [[...], ...]}, {kind: gibbs}, with no other
-    keys.  Every point and mean must have ``dim`` coordinates (unchecked
-    when ``dim`` is None).  A list of points starts one deterministic flow
-    from each point, or places sampler particles as ``kind: points`` does.
-    """
+
+def _parse_init(node, errors, dim):
+    """Initial condition: a point, a list of points (one deterministic flow
+    from each, or sampler particles as ``kind: points`` places them), or a
+    mapping of an init kind's keys.  Every point and mean must have ``dim``
+    coordinates (unchecked when ``dim`` is None)."""
     if isinstance(node, yaml.SequenceNode):
         val = _construct(node)
         if all(_is_number(v) for v in val) and val:
@@ -558,150 +565,82 @@ def _parse_init(node, errors, dim):
         else:
             _check_dim(node, "each init point", len(rows[0]), dim, errors)
         return rows
-    if isinstance(node, yaml.MappingNode):
-        sub = _mapping_items(node, errors, "init")
-        sf = _Field(sub, errors)
-        kind = sf.string("kind", choices=tuple(_INIT_KEYS))
-        if kind is None:
-            errors.append(f"line {_line(node)}: init mapping needs 'kind'")
-            return None
-        _unknown_keys(sub, _INIT_KEYS[kind], "init key", errors)
-        if kind == "gibbs":
-            return {"kind": "gibbs"}
-        if kind == "gaussian":
-            mean_node = sub.get("mean")
-            if mean_node is None:
-                errors.append(f"line {_line(node)}: gaussian init needs 'mean'")
-                return None
-            mean_val = _construct(mean_node)
-            if _is_number(mean_val):
-                mean = [float(mean_val)]
-            else:
-                mean = _float_list(mean_node, errors, "mean")
-                if mean is None:
-                    return None
-            _check_dim(mean_node, "mean", len(mean), dim, errors)
-            var = sf.floating("var", minimum=0.0, exclusive=True)
-            cov_node = sub.get("cov")
-            if (var is None) == (cov_node is None):
-                errors.append(f"line {_line(node)}: gaussian init needs exactly one "
-                              "of 'var' or 'cov'")
-                return None
-            if var is not None:
-                return {"kind": "gaussian", "mean": mean, "var": var}
-            cov = _number_rows(_construct(cov_node))
-            problem = _cov_error(cov, len(mean))
-            if problem:
-                errors.append(f"line {_line(cov_node)}: cov {problem}")
-                return None
-            return {"kind": "gaussian", "mean": mean, "cov": cov}
-        points_node = sub.get("points")
-        if points_node is None:
-            errors.append(f"line {_line(node)}: points init needs 'points'")
-            return None
-        pts = _number_rows(_construct(points_node))
+    if not isinstance(node, yaml.MappingNode):
+        errors.append(f"line {_line(node)}: init must be a list or a mapping")
+        return None
+    sub = _mapping_items(node, errors, "init")
+    kind, values = _variant(sub, _line(node), errors, "init", "kind", _INITS,
+                            "init mapping needs 'kind'")
+    if values is None:
+        return None
+    if kind == "gibbs":
+        return {"kind": "gibbs"}
+    if kind == "points":
+        pts = _read(sub, "points", _rows, errors)
         if pts is None:
-            errors.append(f"line {_line(points_node)}: points must be a list of "
-                          "equal-length lists of finite numbers")
             return None
-        _check_dim(points_node, "each point", len(pts[0]), dim, errors)
+        _check_dim(sub["points"], "each point", len(pts[0]), dim, errors)
         return {"kind": "points", "points": pts}
-    errors.append(f"line {_line(node)}: init must be a list or a mapping")
-    return None
+    mean = _read(sub, "mean", _mean, errors)
+    if mean is None:
+        return None
+    _check_dim(sub["mean"], "mean", len(mean), dim, errors)
+    var = _read(sub, "var", _POSITIVE, errors)
+    if (var is None) == ("cov" not in sub):
+        errors.append(f"line {_line(node)}: gaussian init needs exactly one "
+                      "of 'var' or 'cov'")
+        return None
+    if var is not None:
+        return {"kind": "gaussian", "mean": mean, "var": var}
+    cov = _number_rows(_construct(sub["cov"]))
+    problem = _cov_error(cov, len(mean))
+    if problem:
+        errors.append(f"line {_line(sub['cov'])}: cov {problem}")
+        return None
+    return {"kind": "gaussian", "mean": mean, "cov": cov}
 
 
 def _parse_output(node, errors):
     sub = _mapping_items(node, errors, "output")
-    if not sub:
+    out = _record(sub, _line(node), errors, "output", *_OUTPUT) if sub else None
+    if out is None:
         return None
-    _unknown_keys(sub, ("kind", "path", "times"), "output key", errors)
-    sf = _Field(sub, errors)
-    kind = sf.string("kind", choices=tuple(sorted(
-        {k for kinds in _OUTPUT_KINDS.values() for k in kinds})))
-    path = sf.string("path")
-    if kind is None or path is None:
-        errors.append(f"line {_line(node)}: output needs 'kind' and 'path'")
-        return None
-    times = None
-    times_node = sub.get("times")
-    if times_node is not None:
-        if kind not in _TIMED_KINDS:
-            errors.append(f"line {_line(times_node)}: 'times' only applies to "
-                          f"{', '.join(_TIMED_KINDS)} outputs")
-        times = _float_list(times_node, errors, "times")
-    return OutputSpec(kind=kind, path=path, times=times)
+    if out["times"] is not None and out["kind"] not in _TIMED_KINDS:
+        errors.append(f"line {_line(out['times'])}: 'times' only applies to "
+                      f"{', '.join(_TIMED_KINDS)} outputs")
+    return OutputSpec(kind=out["kind"], path=out["path"],
+                      times=_read(sub, "times", _reals, errors))
 
 
 def _parse_assertion(node, errors, dim):
     sub = _mapping_items(node, errors, "assertion")
-    if not sub:
+    check, params = (_variant(sub, _line(node), errors, "assertion", "check", _CHECKS,
+                              "assertion needs 'check'") if sub else (None, None))
+    if params is None:
         return None
-    sf = _Field(sub, errors)
-    check = sf.string("check", choices=tuple(_ASSERTION_KEYS))
-    if check is None:
-        errors.append(f"line {_line(node)}: assertion needs 'check'")
-        return None
-    _unknown_keys(sub, _ASSERTION_KEYS[check], "assertion key", errors)
     if check == "endpoint_near":
-        point_node = sub.get("point")
-        tol = sf.floating("tol", minimum=0.0, exclusive=True)
-        if point_node is None or tol is None:
-            errors.append(f"line {_line(node)}: endpoint_near needs 'point' and 'tol'")
+        params["point"] = _read(sub, "point", _reals, errors)
+        if params["point"] is None:
             return None
-        point = _float_list(point_node, errors, "point")
-        if point is None:
-            return None
-        _check_dim(point_node, "point", len(point), dim, errors)
-        params = {"point": point, "tol": tol}
-    elif check == "metric_max":
-        metric = sf.string("metric", choices=_METRIC_NAMES)
-        at = sf.floating("time")
-        limit = sf.floating("max")
-        if metric is None or at is None or limit is None:
-            errors.append(f"line {_line(node)}: metric_max needs 'metric', 'time', 'max'")
-            return None
-        params = {"metric": metric, "time": at, "max": limit}
-    else:  # metric_monotone
-        metric = sf.string("metric", choices=_METRIC_NAMES)
-        if metric is None:
-            errors.append(f"line {_line(node)}: metric_monotone needs 'metric'")
-            return None
-        params = {"metric": metric}
+        _check_dim(sub["point"], "point", len(params["point"]), dim, errors)
     return AssertionSpec(check=check, params=params)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    """Canonical plain mapping; omits defaults that were not set explicitly
-    only where they are unambiguous (outputs/assertions always included)."""
-    out = {"problem": cfg.problem, "method": cfg.method, "tau": cfg.tau}
-    if cfg.steps is not None:
-        out["steps"] = cfg.steps
-    if cfg.time is not None:
-        out["time"] = cfg.time
-    if cfg.seed is not None:
-        out["seed"] = cfg.seed
-    if cfg.particles is not None:
-        out["particles"] = cfg.particles
-    if cfg.init is not None:
-        out["init"] = cfg.init
-    if cfg.grid is not None:
-        out["grid"] = cfg.grid
-    out["thin"] = cfg.thin
-    out["workers"] = cfg.workers
-    if cfg.ridge is not None:
-        out["ridge"] = cfg.ridge
-    if cfg.bandwidth != "auto":
-        out["bandwidth"] = cfg.bandwidth
-    if cfg.mirror_map != "quadratic":
-        out["mirror_map"] = cfg.mirror_map
-    if cfg.outputs:
+    """Canonical plain mapping: each field in declaration order, but one
+    that is None or at its default; thin and workers are always echoed."""
+    out = {}
+    for f in fields(cfg):
+        val = getattr(cfg, f.name)
+        default = f.default if f.default_factory is MISSING else f.default_factory()
+        if val is not None and (val != default or f.name in ("thin", "workers")):
+            out[f.name] = val
+    if "outputs" in out:
         out["outputs"] = [
             {"kind": o.kind, "path": o.path, **({"times": o.times} if o.times else {})}
             for o in cfg.outputs]
-    if cfg.assertions:
+    if "assertions" in out:
         out["assertions"] = [{"check": a.check, **a.params} for a in cfg.assertions]
-    if cfg.manifest != "manifest.json":
-        out["manifest"] = cfg.manifest
     return out
 
 

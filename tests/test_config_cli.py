@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from gradflow.cli import main
 from gradflow.config import (DETERMINISTIC_METHODS, GRID_METHODS, STOCHASTIC_METHODS,
-                             parse_config, serialize_config)
+                             config_to_dict, parse_config, serialize_config)
 from gradflow.density import wasserstein1d
 from gradflow.errors import ConfigError
 from gradflow.runner import AssertionFailure, compare_files, run_experiment
@@ -267,6 +268,100 @@ def _configs(draw):
 def test_serialize_then_parse_returns_the_same_config(text):
     cfg = parse_config(text)
     assert parse_config(serialize_config(cfg)) == cfg
+
+
+# the manifest's config echo: every field in declaration order, but those
+# None or at their default (thin and workers are always echoed)
+@pytest.mark.parametrize("text,echo", [
+    ("""\
+problem: double_well
+method: mala
+tau: 0.01
+time: 0.5
+seed: 7
+particles: 20
+init: {kind: gaussian, mean: 0.5, cov: [[2.0]]}
+grid: {lo: -3, hi: 3, n: 30}
+thin: 5
+workers: 2
+ridge: 0.001
+bandwidth: 0.2
+mirror_map: quadratic
+outputs:
+  - {kind: histogram, path: 'h{t}.csv', times: [0.1, 0.5]}
+  - {kind: metrics, path: m.csv}
+  - {kind: samples, path: s.csv}
+assertions:
+  - {check: metric_max, metric: tv, time: 0.5, max: 1.0}
+  - {check: metric_monotone, metric: kl}
+manifest: runs/m.json
+""",
+     {"problem": "double_well", "method": "mala", "tau": 0.01, "time": 0.5, "seed": 7,
+      "particles": 20, "init": {"kind": "gaussian", "mean": [0.5], "cov": [[2.0]]},
+      "grid": {"lo": -3.0, "hi": 3.0, "n": 30}, "thin": 5, "workers": 2, "ridge": 0.001,
+      "bandwidth": 0.2,
+      "outputs": [{"kind": "histogram", "path": "h{t}.csv", "times": [0.1, 0.5]},
+                  {"kind": "metrics", "path": "m.csv"},
+                  {"kind": "samples", "path": "s.csv"}],
+      "assertions": [{"check": "metric_max", "metric": "tv", "time": 0.5, "max": 1.0},
+                     {"check": "metric_monotone", "metric": "kl"}],
+      "manifest": "runs/m.json"}),
+    ("method: gd\nproblem: double_well\ntime: 1.0\ntau: 0.1\ninit: [[0.5], [-0.5]]\n",
+     {"problem": "double_well", "method": "gd", "tau": 0.1, "time": 1.0,
+      "init": [[0.5], [-0.5]], "thin": 1, "workers": 1}),
+    ("""\
+problem: quadratic:0.5,2.0
+method: mirror
+mirror_map: negative_entropy
+tau: 0.1
+steps: 0
+ridge: 0.0
+init: [1.0, 2.0]
+outputs:
+  - {kind: trajectory, path: t.csv}
+  - {kind: rates, path: r.txt}
+assertions:
+  - {check: endpoint_near, point: [0, 0], tol: 1.0}
+bandwidth: auto
+manifest: manifest.json
+""",
+     {"problem": "quadratic:0.5,2.0", "method": "mirror", "tau": 0.1, "steps": 0,
+      "init": [1.0, 2.0], "thin": 1, "workers": 1, "ridge": 0.0,
+      "mirror_map": "negative_entropy",
+      "outputs": [{"kind": "trajectory", "path": "t.csv"}, {"kind": "rates", "path": "r.txt"}],
+      "assertions": [{"check": "endpoint_near", "point": [0.0, 0.0], "tol": 1.0}]}),
+    ("""\
+problem: quadratic:0.5
+method: fpe_bdl
+dt: 1e-3
+steps: 20
+grid: {lo: -4.0, hi: 4.0, n: 41}
+init: {kind: gibbs}
+thin: 1
+workers: 1
+outputs:
+  - {kind: density, path: 'd_{t}.csv', times: [0.01, 0.02]}
+assertions:
+  - {check: metric_max, metric: l2pinv, time: 0.02, max: 10.0}
+""",
+     {"problem": "quadratic:0.5", "method": "fpe_bdl", "tau": 0.001, "steps": 20,
+      "init": {"kind": "gibbs"}, "grid": {"lo": -4.0, "hi": 4.0, "n": 41},
+      "thin": 1, "workers": 1,
+      "outputs": [{"kind": "density", "path": "d_{t}.csv", "times": [0.01, 0.02]}],
+      "assertions": [{"check": "metric_max", "metric": "l2pinv", "time": 0.02,
+                      "max": 10.0}]}),
+], ids=["sampler", "descent-defaults", "mirror", "grid"])
+def test_config_echo_in_field_order(text, echo):
+    # json keeps key order, so this compares the order of every mapping
+    assert json.dumps(config_to_dict(parse_config(text))) == json.dumps(echo)
+
+
+def test_the_readme_config_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = re.search(r"```yaml\n(.*?)```", readme, re.S).group(1)
+    cfg = parse_config(example)
+    assert (cfg.method, cfg.particles, cfg.init["kind"]) == ("ula", 100000, "points")
+    assert [o.kind for o in cfg.outputs] == ["histogram", "metrics"]
 
 
 def test_duplicate_key_rejected():
@@ -556,10 +651,16 @@ outputs:
     (MINIMAL_GD.replace("gd", "mirror\nmirror_map: negative_entropy").replace(
         "init: [0.5]", "init: [[0.5], [-0.5]]"),
      "line 6: mirror_map 'negative_entropy' needs every init coordinate > 0"),
+    (SAMPLER_STEP_3 + "manifest: m.csv\n",
+     "line 11: output path 'm.csv' writes 'm.csv', as does the manifest"),
+    (SAMPLER_1D + "init: [0.0]\noutputs:\n  - {kind: samples, path: s.csv}\n"
+     "  - {kind: stats, path: ./s.csv}\n",
+     "line 10: output path './s.csv' writes './s.csv', as does line 9"),
 ], ids=["endpoint_near-on-ula", "metric_max-on-gd", "two-starts-one-path",
         "two-times-one-path", "two-times-one-name", "two-outputs-one-path",
         "monotone-at-one-time", "monotone-at-one-step", "rates-without-v_star",
-        "newton-without-hessian", "negative-entropy-below-0"])
+        "newton-without-hessian", "negative-entropy-below-0", "an-output-at-the-manifest",
+        "two-spellings-of-one-path"])
 def test_what_a_run_would_find_late_is_a_config_error(tmp_path, capsys, text, message):
     _rejected_by_validate_and_run(tmp_path, capsys, text, message)
 
