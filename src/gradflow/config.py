@@ -586,12 +586,12 @@ def _parse_init(node, errors, dim):
         return None
     _check_dim(sub["mean"], "mean", len(mean), dim, errors)
     var = _read(sub, "var", _POSITIVE, errors)
-    if (var is None) == ("cov" not in sub):
+    if "var" in sub and "cov" not in sub:  # an invalid var is reported already
+        return None if var is None else {"kind": "gaussian", "mean": mean, "var": var}
+    if var is not None or "cov" not in sub:
         errors.append(f"line {_line(node)}: gaussian init needs exactly one "
                       "of 'var' or 'cov'")
         return None
-    if var is not None:
-        return {"kind": "gaussian", "mean": mean, "var": var}
     cov = _number_rows(_construct(sub["cov"]))
     problem = _cov_error(cov, len(mean))
     if problem:
@@ -602,7 +602,8 @@ def _parse_init(node, errors, dim):
 
 def _parse_output(node, errors):
     sub = _mapping_items(node, errors, "output")
-    out = _record(sub, _line(node), errors, "output", *_OUTPUT) if sub else None
+    out = (_record(sub, _line(node), errors, "output", *_OUTPUT)
+           if isinstance(node, yaml.MappingNode) else None)
     if out is None:
         return None
     if out["times"] is not None and out["kind"] not in _TIMED_KINDS:
@@ -615,7 +616,8 @@ def _parse_output(node, errors):
 def _parse_assertion(node, errors, dim):
     sub = _mapping_items(node, errors, "assertion")
     check, params = (_variant(sub, _line(node), errors, "assertion", "check", _CHECKS,
-                              "assertion needs 'check'") if sub else (None, None))
+                              "assertion needs 'check'")
+                     if isinstance(node, yaml.MappingNode) else (None, None))
     if params is None:
         return None
     if check == "endpoint_near":

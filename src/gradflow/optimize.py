@@ -1,9 +1,12 @@
 """Deterministic descent schemes and rate diagnostics.
 
-Steppers map (potential, point) to the next point; ``run_flow`` drives any
-of them and records a :class:`Trajectory`.  ``verify_rates`` checks the
-recorded energies against monotone dissipation and, when curvature
-constants are available, the geometric decay bound for step 1/L.
+A stepper is a plain map ``step(p, theta, carry) -> (theta, carry)``; the
+carry is the state a scheme keeps between steps (only BFGS keeps any).
+``run_flow`` starts each flow with ``carry = None``, threads it from step
+to step and records a :class:`Trajectory`, so one stepper serves any
+number of flows.  ``verify_rates`` checks the recorded energies against
+monotone dissipation and, when curvature constants are available, the
+geometric decay bound for step 1/L.
 """
 
 from __future__ import annotations
@@ -73,26 +76,25 @@ class Trajectory:
 class PreconditionerField:
     """A field of SPD matrices H(theta) defining the descent metric."""
 
-    def __init__(self, at: Callable[[np.ndarray], np.ndarray], kind: str = "callable"):
+    def __init__(self, at: Callable[[np.ndarray], np.ndarray]):
         self._at = at
-        self.kind = kind
 
     @classmethod
     def identity(cls, dim: int) -> "PreconditionerField":
         eye = np.eye(dim)
-        return cls(lambda theta: eye, kind="identity")
+        return cls(lambda theta: eye)
 
     @classmethod
     def constant(cls, matrix) -> "PreconditionerField":
         mat = np.atleast_2d(np.asarray(matrix, dtype=float))
-        return cls(lambda theta: mat, kind="constant")
+        return cls(lambda theta: mat)
 
     @classmethod
     def hessian_of(cls, p: Potential) -> "PreconditionerField":
         if p.hessian is None:
             raise PreconditionerError(
                 f"potential {p.name!r} has no Hessian; Newton preconditioning unavailable")
-        return cls(p.hessian, kind="hessian")
+        return cls(p.hessian)
 
     def at(self, theta) -> np.ndarray:
         h = np.atleast_2d(np.asarray(self._at(np.asarray(theta, dtype=float)), dtype=float))
@@ -141,22 +143,28 @@ def negative_entropy_mirror_map() -> MirrorMap:
     )
 
 
-def invert_gradient_newton(h_grad, h_hessian, z, x0, tol: float = 1e-10,
-                           max_iter: int = 100) -> np.ndarray:
-    """Solve grad h(x) = z by damped Newton, for maps without a closed inverse."""
+def _damped_newton(residual, jacobian, x0, tol: float, iters: int):
+    """Newton on residual(x) = 0; returns (x, converged).
+
+    Each step is halved at most 40 times until the residual norm drops; a
+    trial whose residual raises ValueError is rejected like one that does
+    not.  The residual is checked after the last step too.
+    """
     x = np.asarray(x0, dtype=float).copy()
-    z = np.asarray(z, dtype=float)
-    res = h_grad(x) - z
-    for _ in range(max_iter):
+    res = residual(x)
+    for _ in range(iters):
         nrm = np.linalg.norm(res)
         if nrm <= tol:
-            return x
-        step = np.linalg.solve(np.atleast_2d(h_hessian(x)), res)
+            return x, True
+        try:
+            step = np.linalg.solve(np.atleast_2d(jacobian(x)), res)
+        except np.linalg.LinAlgError:
+            return x, False
         t = 1.0
         for _ in range(40):
             trial = x - t * step
             try:
-                trial_res = h_grad(trial) - z
+                trial_res = residual(trial)
             except ValueError:
                 t *= 0.5
                 continue
@@ -165,9 +173,19 @@ def invert_gradient_newton(h_grad, h_hessian, z, x0, tol: float = 1e-10,
                 break
             t *= 0.5
         else:
-            break
-    raise ConvergenceError("gradient-map inversion did not reach tolerance",
-                           best=x, residual=float(np.linalg.norm(res)))
+            return x, False
+    return x, bool(np.linalg.norm(res) <= tol)
+
+
+def invert_gradient_newton(h_grad, h_hessian, z, x0, tol: float = 1e-10,
+                           max_iter: int = 100) -> np.ndarray:
+    """Solve grad h(x) = z by damped Newton, for maps without a closed inverse."""
+    z = np.asarray(z, dtype=float)
+    x, converged = _damped_newton(lambda x: h_grad(x) - z, h_hessian, x0, tol, max_iter)
+    if not converged:
+        raise ConvergenceError("gradient-map inversion did not reach tolerance",
+                               best=x, residual=float(np.linalg.norm(h_grad(x) - z)))
+    return x
 
 
 def explicit_euler_step(p: Potential, theta, tau: float) -> np.ndarray:
@@ -212,33 +230,10 @@ def implicit_euler_step(p: Potential, theta, tau: float, tol: float = 1e-10,
             cols[:, i] = (p.grad(x + e) - p.grad(x - e)) / (2.0 * h)
         return np.eye(p.dim) + tau * cols
 
-    def newton(x0, iters):
-        x = np.asarray(x0, dtype=float).copy()
-        res = residual(x)
-        for _ in range(iters):
-            nrm = np.linalg.norm(res)
-            if nrm <= tol:
-                return x, True
-            try:
-                step = np.linalg.solve(jacobian(x), res)
-            except np.linalg.LinAlgError:
-                return x, False
-            t = 1.0
-            while t > 1e-12:
-                trial = x - t * step
-                trial_res = residual(trial)
-                if np.linalg.norm(trial_res) < nrm:
-                    x, res = trial, trial_res
-                    break
-                t *= 0.5
-            else:
-                return x, False
-        return x, bool(np.linalg.norm(res) <= tol)
-
     v0 = float(p.value(th))
 
     if p.hessian is not None:
-        x, converged = newton(th, max_iter)
+        x, converged = _damped_newton(residual, jacobian, th, tol, max_iter)
         if converged and objective(x) <= v0 + 1e-12:
             return x
 
@@ -253,14 +248,12 @@ def implicit_euler_step(p: Potential, theta, tau: float, tol: float = 1e-10,
         obj = objective(x)
         slope = -float(g @ g)
         t = min(tau, 4.0 * t_prev)
-        accepted = False
         for _ in range(60):
             cand = objective(x - t * g)
             if cand <= obj + 1e-4 * t * slope:
-                accepted = True
                 break
             t *= 0.5
-        if not accepted:
+        else:
             break
         # keep halving while the objective still improves: the first
         # acceptable step can badly overshoot and stall in a zigzag
@@ -271,12 +264,10 @@ def implicit_euler_step(p: Potential, theta, tau: float, tol: float = 1e-10,
             t, cand = 0.5 * t, cand_half
         x = x - t * g
         t_prev = t
-    res = residual(x)
-    if np.linalg.norm(res) <= tol:
-        return x
     # descent stalls once objective differences drop below float resolution;
-    # a residual-based polish in the reached basin finishes the job
-    x, converged = newton(x, 25)
+    # a residual-based polish in the reached basin finishes the job (and
+    # returns at once when the descent converged on its last step)
+    x, converged = _damped_newton(residual, jacobian, x, tol, 25)
     if converged and objective(x) <= v0 + 1e-12:
         return x
     res = residual(x)
@@ -365,52 +356,43 @@ def backtracking_line_search(p: Potential, theta, direction, tau0: float,
 # --- stepper factories for run_flow -----------------------------------------
 
 def gradient_stepper(tau: float):
-    return lambda p, th: explicit_euler_step(p, th, tau)
+    return lambda p, th, carry: (explicit_euler_step(p, th, tau), carry)
 
 
 def implicit_stepper(tau: float, tol: float = 1e-10):
-    return lambda p, th: implicit_euler_step(p, th, tau, tol=tol)
+    return lambda p, th, carry: (implicit_euler_step(p, th, tau, tol=tol), carry)
 
 
 def preconditioned_stepper(field_h: PreconditionerField, tau: float):
-    return lambda p, th: preconditioned_step(p, field_h, th, tau)
+    return lambda p, th, carry: (preconditioned_step(p, field_h, th, tau), carry)
 
 
 def mirror_stepper(mmap: MirrorMap, tau: float):
-    return lambda p, th: mirror_descent_step(p, mmap, th, tau)
+    return lambda p, th, carry: (mirror_descent_step(p, mmap, th, tau), carry)
 
 
-def bfgs_stepper(tau: float, h0=None):
-    """Quasi-Newton stepper closure; keeps the inverse-Hessian guess between calls.
+def bfgs_stepper(tau: float):
+    """Quasi-Newton stepper; its carry is (inverse Hessian, last point, its gradient).
 
-    Skipped curvature pairs are counted on the returned callable's
-    ``n_skipped`` attribute.
+    Each flow starts from the identity and updates it with each secant pair.
     """
-    state = {"h_inv": None if h0 is None else np.asarray(h0, dtype=float),
-             "prev": None, "prev_grad": None}
 
-    def step(p: Potential, th: np.ndarray) -> np.ndarray:
-        if state["h_inv"] is None:
-            state["h_inv"] = np.eye(p.dim)
+    def step(p: Potential, th: np.ndarray, carry):
         g = p.grad(th)
-        if state["prev"] is not None:
-            s = th - state["prev"]
-            y = g - state["prev_grad"]
-            updated = bfgs_update(state["h_inv"], s, y)
-            if updated is state["h_inv"]:
-                step.n_skipped += 1
-            state["h_inv"] = updated
-        new = th - tau * state["h_inv"] @ g
-        state["prev"], state["prev_grad"] = th, g
-        return new
+        if carry is None:
+            h_inv = np.eye(p.dim)
+        else:
+            h_inv, prev, prev_grad = carry
+            h_inv = bfgs_update(h_inv, th - prev, g - prev_grad)
+        return th - tau * h_inv @ g, (h_inv, th, g)
 
-    step.n_skipped = 0
     return step
 
 
 def run_flow(p: Potential, stepper, theta0, n_steps: int, tau: float) -> Trajectory:
     """Drive a stepper for n_steps of size tau, recording the trajectory.
 
+    The stepper's carry starts as None and is threaded from step to step.
     Stops early once |grad V| < 1e-12 so equilibria terminate; stepper
     errors are re-raised with the failing step index in the message.
     """
@@ -422,15 +404,17 @@ def run_flow(p: Potential, stepper, theta0, n_steps: int, tau: float) -> Traject
     energies = [float(p.value(th))]
     grad_norms = [float(np.linalg.norm(p.grad(th)))]
     stopped_early = False
+    carry = None
     for k in range(1, n_steps + 1):
         if grad_norms[-1] < GRAD_STOP:
             stopped_early = True
             break
         try:
-            th = np.asarray(stepper(p, th), dtype=float)
+            th, carry = stepper(p, th, carry)
         except Exception as exc:
             exc.args = (f"step {k}: {exc.args[0] if exc.args else exc}",) + exc.args[1:]
             raise
+        th = np.asarray(th, dtype=float)
         times.append(k * tau)
         states.append(th.copy())
         energies.append(float(p.value(th)))

@@ -26,7 +26,7 @@ from .artifacts import (read_density_csv, read_samples_csv, write_chain_stats,
 from .config import ExperimentConfig, config_to_dict
 from .density import (Grid1D, GridDensity, gibbs_density, histogram, kl_divergence,
                       l2_pi_inv_norm, normalize, tv_distance)
-from .errors import GradflowError
+from .errors import ConfigError, GradflowError
 from .fpe import FokkerPlanckSolver1D, FpeState, bdl_fpe_step, decay_report, fpe_step, weighted_fpe_step
 from .optimize import (PreconditionerField, bfgs_stepper, gradient_stepper,
                        implicit_stepper, mirror_stepper, negative_entropy_mirror_map,
@@ -53,8 +53,10 @@ def run_experiment(cfg: ExperimentConfig, out_root=None, seed_override=None,
     """Execute one experiment and write its declared artifacts.
 
     Returns the manifest mapping (also written to the configured manifest
-    path).  Raises AssertionFailure when a declared assertion fails and
-    GradflowError subclasses for runtime problems.
+    path).  Raises ConfigError, before any work, when two of the files it
+    would write resolve to one file under ``out_root``; AssertionFailure
+    when a declared assertion fails; and GradflowError subclasses for
+    runtime problems.
     """
     started = _time.perf_counter()
     if out_root is None:
@@ -64,6 +66,15 @@ def run_experiment(cfg: ExperimentConfig, out_root=None, seed_override=None,
         cfg = ExperimentConfig(**{**cfg.__dict__, "seed": int(seed_override)})
     if workers_override is not None:
         cfg = ExperimentConfig(**{**cfg.__dict__, "workers": int(workers_override)})
+
+    files = cfg.files()
+    written = {}  # each file the run writes -> the config's paths that name it
+    for path in [cfg.manifest] + [path for _, path, _ in files]:
+        written.setdefault(_resolve(path, out_root).resolve(), []).append(repr(path))
+    clashes = [f"paths {' and '.join(paths)} name one file, {target}"
+               for target, paths in written.items() if len(paths) > 1]
+    if clashes:
+        raise ConfigError(clashes)
 
     potential = from_identifier(cfg.problem)
     run_family = {"deterministic": _run_deterministic, "stochastic": _run_stochastic,
@@ -75,7 +86,7 @@ def run_experiment(cfg: ExperimentConfig, out_root=None, seed_override=None,
     products["metrics"] = (write_metrics_csv, lambda _: metrics_rows)
 
     artifacts = []
-    for spec, path, label in cfg.files():
+    for spec, path, label in files:
         writer, payload = products[spec.kind]
         artifacts.append(_resolve(path, out_root))
         writer(artifacts[-1], payload(label))
@@ -114,9 +125,9 @@ def _make_stepper(cfg: ExperimentConfig, potential):
 
 def _run_deterministic(cfg, potential):
     starts = cfg.init if np.ndim(cfg.init) == 2 else [cfg.init]
-    # a fresh stepper per start: bfgs keeps state
-    trajectories = [run_flow(potential, _make_stepper(cfg, potential), start,
-                             cfg.n_steps(), cfg.tau) for start in starts]
+    stepper = _make_stepper(cfg, potential)
+    trajectories = [run_flow(potential, stepper, start, cfg.n_steps(), cfg.tau)
+                    for start in starts]
     products = {"trajectory": (write_trajectory_csv, trajectories.__getitem__),
                 "rates": (write_rates_report,
                           lambda i: verify_rates(trajectories[i], potential))}

@@ -665,6 +665,18 @@ def test_what_a_run_would_find_late_is_a_config_error(tmp_path, capsys, text, me
     _rejected_by_validate_and_run(tmp_path, capsys, text, message)
 
 
+def test_paths_that_resolve_to_one_file_are_refused_before_any_work(tmp_path, capsys):
+    # validate cannot see --out-root; the run compares the resolved paths
+    cfg_path = tmp_path / "exp.yaml"
+    cfg_path.write_text(SAMPLER_STEP_3 + f"manifest: {tmp_path / 'm.csv'}\n")
+    assert main(["validate", str(cfg_path)]) == 0
+    assert main(["run", str(cfg_path), "--out-root", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert (f"config error: paths '{tmp_path / 'm.csv'}' and 'm.csv' name one file, "
+            f"{(tmp_path / 'm.csv').resolve()}") in err, err
+    assert not (tmp_path / "m.csv").exists() and not (tmp_path / "h.csv").exists()
+
+
 def test_time_plan_of_each_family():
     sampler = parse_config(TINY_ULA + "assertions:\n"
                            "  - {check: metric_max, metric: tv, time: 5.0, max: 1.0}\n")

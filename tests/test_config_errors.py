@@ -166,6 +166,8 @@ init: [0.0]
      ['line 7: mean has 2 coordinate(s) but the problem is 1-D',
       'line 7: var must be > 0.0',
       'line 7: cov must be 2x2 to match the mean']),
+    ("gaussian-invalid-var", ULA + "init: {kind: gaussian, mean: [0.0], var: -1.0}\n",
+     ['line 7: var must be > 0.0']),
     ("gaussian-neither-var-nor-cov", ULA + "init: {kind: gaussian, mean: 0.0}\n",
      ["line 7: gaussian init needs exactly one of 'var' or 'cov'"]),
     ("gaussian-var-and-cov", ULA + "init: {kind: gaussian, mean: 0.0, var: 1.0, cov: [[1.0]]}\n",
@@ -209,7 +211,8 @@ init: [0.0]
       "line 12: output needs 'kind' and 'path'",
       "line 13: 'times' only applies to histogram, density, metrics outputs",
       'line 14: times must be a nonempty list of finite numbers',
-      "line 15: duplicate key 'kind'"]),
+      "line 15: duplicate key 'kind'",
+      "line 16: output needs 'kind' and 'path'"]),
     ("assertion-forms", ULA + "init: [0.0]\ngrid: {lo: -3.0, hi: 3.0, n: 30}\nassertions:\n"
      "  - 1\n"
      "  - {metric: tv}\n"
@@ -230,6 +233,8 @@ init: [0.0]
       'line 16: max must be a finite number',
       "line 16: metric_max needs 'metric', 'time', 'max'",
       'line 15: metric_monotone needs metrics at 2 or more times; this run has 0']),
+    ("empty-assertion", GD + "init: [0.5]\nassertions:\n  - {}\n",
+     ["line 7: assertion needs 'check'"]),
     ("endpoint-near-forms", GD + "init: [0.5]\nassertions:\n"
      "  - {check: endpoint_near, tol: 0, extra: 1}\n"
      "  - {check: endpoint_near, point: [a], tol: 1.0}\n"

@@ -174,6 +174,16 @@ def test_bfgs_flow_converges():
     assert np.linalg.norm(traj.final_state) < 1e-8
 
 
+def test_bfgs_stepper_reused_across_flows_matches_fresh_ones():
+    # the inverse-Hessian guess is carried through one flow, never into the next
+    p = make_quadratic([0.05, 1.0])
+    shared = bfgs_stepper(0.5)
+    for start in ([4.0, -3.0], [-1.0, 2.0]):
+        reused = run_flow(p, shared, start, 20, 0.5)
+        fresh = run_flow(p, bfgs_stepper(0.5), start, 20, 0.5)
+        assert np.array_equal(reused.states, fresh.states)
+
+
 # --- mirror descent -----------------------------------------------------------------
 
 def test_mirror_quadratic_map_is_bitwise_explicit_euler():
@@ -220,6 +230,14 @@ def test_generic_gradient_inversion_by_newton():
     with pytest.raises(ConvergenceError):
         invert_gradient_newton(h_grad, h_hess, z, x0=np.array([1.0, 1.0]),
                                max_iter=0)
+
+
+def test_gradient_inversion_checks_the_residual_after_its_last_step():
+    # h = |x|^2: one Newton step solves 2x = z exactly
+    from gradflow.optimize import invert_gradient_newton
+    x = invert_gradient_newton(lambda th: 2.0 * th, lambda th: 2.0 * np.eye(th.size),
+                               np.array([3.0]), x0=np.array([0.0]), max_iter=1)
+    assert x.tolist() == [1.5]
 
 
 # --- Bregman divergence --------------------------------------------------------------
@@ -301,7 +319,7 @@ def test_run_flow_records_consistent_columns():
 
 def test_run_flow_attaches_step_index_to_errors():
     p = make_quadratic([1.0])
-    def explode(_p, _t):
+    def explode(_p, _t, _carry):
         raise PreconditionerError("boom")
     with pytest.raises(PreconditionerError, match="step 1"):
         run_flow(p, explode, [1.0], 5, 0.1)
