@@ -436,6 +436,19 @@ def parse_config(text: str) -> ExperimentConfig:
     return cfg
 
 
+def _indefinite_starts(potential, init):
+    """(index, start) of each start of the right dimension whose Hessian has
+    no Cholesky factor, the test the Newton step makes before it moves."""
+    starts = init if np.ndim(init) == 2 else [init]
+    for i, start in enumerate(starts):
+        if len(start) != potential.dim:
+            continue
+        try:
+            np.linalg.cholesky(np.atleast_2d(potential.hessian(np.asarray(start))))
+        except np.linalg.LinAlgError:
+            yield i, start
+
+
 def _family_errors(cfg, items, potential, outputs, assertions):
     """What the method's family rules out: missing keys, init forms, output
     kinds and checks it does not take, what the potential (if known) lacks,
@@ -474,6 +487,10 @@ def _family_errors(cfg, items, potential, outputs, assertions):
         if method == "newton" and potential.hessian is None:
             errors.append(f"line {_line(items['method'])}: method 'newton' needs a "
                           f"potential with a Hessian; {cfg.problem!r} has none")
+        elif method == "newton" and isinstance(cfg.init, list):
+            errors.extend(f"line {_line(items['init'])}: method 'newton' needs a positive "
+                          f"definite Hessian at each start; start {i} {start} has none"
+                          for i, start in _indefinite_starts(potential, cfg.init))
         if potential.v_star is None:
             errors.extend(f"line {line}: output kind 'rates' needs a potential with a "
                           f"known minimum value; {cfg.problem!r} has none"

@@ -1,12 +1,12 @@
 """Stochastic samplers on a deterministic randomness contract.
 
 All methods draw from counter-based substreams addressed by (seed,
-particle, step), so runs are reproducible bit for bit.  Per-step draw
-layout, in uniform columns:
+context, step, column), random-stream layout 3 of ``rng``, so runs are
+reproducible bit for bit.  Per-step draw layout, by stream column:
 
-* ula / ensemble: dim Gaussian coordinates
-* mala:           dim Gaussian coordinates + 1 acceptance uniform
-* bdl:            dim Gaussian coordinates + kill/duplicate uniform
+* ula / ensemble: dim Gaussian columns
+* mala:           dim Gaussian columns + 1 acceptance uniform
+* bdl:            dim Gaussian columns + kill/duplicate uniform
                   + replacement-partner uniform
 
 Ensemble initialization uses context 1 of the stream, dynamics context 0.
@@ -26,6 +26,7 @@ import numpy as np
 from .density import kde, silverman_bandwidth
 from .errors import DivergenceError, PreconditionerError
 from .potentials import Potential
+# ndtri is bound here only for perfbench/tracer.py, which traces it by this name
 from .rng import RngStream, ndtri
 
 __all__ = [
@@ -68,7 +69,7 @@ class Ensemble:
         mean = np.atleast_1d(np.asarray(mean, dtype=float))
         cov = np.atleast_2d(np.asarray(cov, dtype=float))
         chol = np.linalg.cholesky(cov)
-        noise = rng.normal_rows(0, 0, size, mean.size, context=1)
+        noise = rng.normal_rows(0, size, mean.size, context=1)
         return cls(particles=mean + noise @ chol.T, rng=rng)
 
     @classmethod
@@ -185,13 +186,13 @@ def ensemble_langevin_step(p: Potential, x, tau: float, noise,
     return x - tau * p.grad(x) @ mobility + np.sqrt(2.0 * tau) * noise @ sqrt_m
 
 
-def bdl_step(p: Potential, x, tau: float, rows, bandwidth="auto",
+def bdl_step(p: Potential, x, tau: float, noise, uniforms, bandwidth="auto",
              log_density_fn: Optional[Callable] = None) -> np.ndarray:
     """Langevin substep followed by a birth-death exchange.
 
-    ``x`` holds the (J, dim) particles and ``rows`` their (J, dim + 2)
-    uniforms: dim Gaussian coordinates by inverse CDF, then the
-    kill/duplicate and the replacement-partner uniform.  Rates
+    ``x`` holds the (J, dim) particles, ``noise`` their (J, dim) standard
+    Gaussians for the Langevin substep and ``uniforms`` their (J, 2)
+    kill/duplicate and replacement-partner uniforms.  Rates
     r_i = log rho_hat(theta_i) + V(theta_i) are centered by their
     ensemble mean, which cancels the unknown normalizer of the target;
     particle i fires with probability 1 - exp(-|beta_i| tau), where beta_i
@@ -211,7 +212,7 @@ def bdl_step(p: Potential, x, tau: float, rows, bandwidth="auto",
     j, dim = np.shape(x)
     if j < 2:
         raise ValueError("birth-death needs at least 2 particles")
-    moved = ula_step(p, x, tau, ndtri(rows[:, :dim]))
+    moved = ula_step(p, x, tau, noise)
     if not np.isfinite(moved).all():
         return moved
     if log_density_fn is not None:
@@ -224,10 +225,10 @@ def bdl_step(p: Potential, x, tau: float, rows, bandwidth="auto",
     beta = rates - rates.mean()
 
     particles = moved.copy()
-    partners = np.floor(rows[:, dim + 1] * (j - 1)).astype(int)
+    partners = np.floor(uniforms[:, 1] * (j - 1)).astype(int)
     partners = np.minimum(partners, j - 2)
     partners += partners >= np.arange(j)  # skip the particle itself
-    fired = np.flatnonzero(rows[:, dim] < -np.expm1(-np.abs(beta) * tau))
+    fired = np.flatnonzero(uniforms[:, 0] < -np.expm1(-np.abs(beta) * tau))
     for i in fired:
         if beta[i] > 0:
             particles[i] = particles[partners[i]]
@@ -247,12 +248,13 @@ def _mala_kernel(p: Potential, rng: RngStream, tau: float, x: np.ndarray):
     def step(x, k):
         nonlocal energy, grads
         j, dim = x.shape
-        rows = rng.uniform_rows(k, 0, j, dim + 1)
-        proposal = x - tau * grads + np.sqrt(2.0 * tau) * ndtri(rows[:, :dim])
+        noise = rng.normal_rows(k, j, dim)
+        u = rng.uniform_rows(k, j, 1, column=dim)[:, 0]
+        proposal = x - tau * grads + np.sqrt(2.0 * tau) * noise
         prop_energy = np.asarray(p.value(proposal), dtype=float)
         prop_grads = p.grad(proposal)
         log_a = _mala_log_ratio(x, energy, grads, proposal, prop_energy, prop_grads, tau)
-        accept = rows[:, dim] < np.exp(np.minimum(0.0, log_a))
+        accept = u < np.exp(np.minimum(0.0, log_a))
         energy = np.where(accept, prop_energy, energy)
         grads = np.where(accept[:, None], prop_grads, grads)
         return np.where(accept[:, None], proposal, x), int(accept.sum())
@@ -263,22 +265,23 @@ def _mala_kernel(p: Potential, rng: RngStream, tau: float, x: np.ndarray):
 def _transition(method: str, p: Potential, rng: RngStream, tau: float,
                 x: np.ndarray, ridge, bandwidth):
     """The method as one transition step(x, k) -> (x, n_accepted) of the
-    (J, dim) particles x; the one reader of the stream, it draws the rows of
-    stream step k in the module docstring's layout and hands them to a map."""
+    (J, dim) particles x; the one reader of the stream, it draws the columns
+    of stream step k in the module docstring's layout and hands them to a map."""
     j, dim = x.shape
     if method == "mala":
         return _mala_kernel(p, rng, tau, x)
     if method == "ula":
         def step(x, k):
-            return ula_step(p, x, tau, rng.normal_rows(k, 0, j, dim)), j
+            return ula_step(p, x, tau, rng.normal_rows(k, j, dim)), j
     elif method == "ensemble":
         def step(x, k):
-            noise = rng.normal_rows(k, 0, j, dim)
+            noise = rng.normal_rows(k, j, dim)
             return ensemble_langevin_step(p, x, tau, noise, ridge=ridge), j
     else:
         def step(x, k):
-            rows = rng.uniform_rows(k, 0, j, dim + 2)
-            return bdl_step(p, x, tau, rows, bandwidth=bandwidth), j
+            noise = rng.normal_rows(k, j, dim)
+            uniforms = rng.uniform_rows(k, j, 2, column=dim)
+            return bdl_step(p, x, tau, noise, uniforms, bandwidth=bandwidth), j
     return step
 
 

@@ -158,9 +158,10 @@ def _configs(draw):
               else "stochastic" if method in STOCHASTIC_METHODS else "grid")
     tau = draw(st.floats(min_value=1e-4, max_value=1.0))
     dim = 1 if family == "grid" else draw(st.integers(1, 3))
-    # the mixture has no Hessian (newton) and no known minimum (rates)
+    # the mixture has no known minimum (rates); newton needs a positive
+    # definite Hessian at its starts, which only the quadratics have everywhere
     problem = draw(st.sampled_from([p for p in PROBLEMS[dim]
-                                    if method != "newton" or "mixture" not in p]))
+                                    if method != "newton" or p.startswith("quadratic")]))
     doc = {"problem": problem,
            "method": method,
            draw(st.sampled_from(["tau", "dt"])): tau}
@@ -651,6 +652,9 @@ outputs:
     (MINIMAL_GD.replace("gd", "mirror\nmirror_map: negative_entropy").replace(
         "init: [0.5]", "init: [[0.5], [-0.5]]"),
      "line 6: mirror_map 'negative_entropy' needs every init coordinate > 0"),
+    (MINIMAL_GD.replace("gd", "newton").replace("init: [0.5]", "init: [0.2]"),
+     "line 5: method 'newton' needs a positive definite Hessian at each start; "
+     "start 0 [0.2] has none"),
     (SAMPLER_STEP_3 + "manifest: m.csv\n",
      "line 11: output path 'm.csv' writes 'm.csv', as does the manifest"),
     (SAMPLER_1D + "init: [0.0]\noutputs:\n  - {kind: samples, path: s.csv}\n"
@@ -659,7 +663,8 @@ outputs:
 ], ids=["endpoint_near-on-ula", "metric_max-on-gd", "two-starts-one-path",
         "two-times-one-path", "two-times-one-name", "two-outputs-one-path",
         "monotone-at-one-time", "monotone-at-one-step", "rates-without-v_star",
-        "newton-without-hessian", "negative-entropy-below-0", "an-output-at-the-manifest",
+        "newton-without-hessian", "negative-entropy-below-0", "newton-from-an-indefinite-start",
+        "an-output-at-the-manifest",
         "two-spellings-of-one-path"])
 def test_what_a_run_would_find_late_is_a_config_error(tmp_path, capsys, text, message):
     _rejected_by_validate_and_run(tmp_path, capsys, text, message)

@@ -290,6 +290,12 @@ init: [0.0]
     ("negative-entropy-start", GD.replace("gd", "mirror") + "mirror_map: negative_entropy\n"
      "init: [0.0]\n",
      ["line 6: mirror_map 'negative_entropy' needs every init coordinate > 0"]),
+    ("newton-from-indefinite-starts", GD.replace("gd", "newton")
+     + "init: [[1.5], [0.2], [-0.5], [-2.0]]\n",
+     ["line 5: method 'newton' needs a positive definite Hessian at each start; "
+      "start 1 [0.2] has none",
+      "line 5: method 'newton' needs a positive definite Hessian at each start; "
+      "start 2 [-0.5] has none"]),
     ("deterministic-paths", GD + "init: [[0.5], [-0.5], [1.0]]\noutputs:\n"
      "  - {kind: trajectory, path: traj.csv}\n  - {kind: rates, path: 'r_{i}.txt'}\n"
      "  - {kind: trajectory, path: 'r_{i}.txt'}\n",

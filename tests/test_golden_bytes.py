@@ -107,10 +107,10 @@ SHA256 = {
     "mirror_quadratic/traj_1.csv": "a17bc89069618fec3a6690f957781c8e9dc92b7b4ca970ff0cac8f4f7c5d14b0",
     "newton/traj_0.csv": "c9d84c65b5ea57f01fa77d4e4a26392dcf24d9e88eec6ae41771df9080bbb4ad",
     "newton/traj_1.csv": "65e8cdecac7a2fc3d0b8440a1e00d44db9fea9868b463fc7b4ea7e10b1964735",
-    "ula/h_0.5.csv": "d92be55bc07d402b07746bf49a7de9642aaf634cd5241a3ff9fe9018b029f330",
-    "ula/h_1.csv": "f894f5cecc1dfff2cecc7feabe9af4878afea58407769647a8bee2e57dd22a99",
-    "ula/metrics.csv": "cfbaabae06870dacf4f1346a353da6351204b23c8881a2293d6400faebabfcd8",
-    "ula/samples.csv": "f99b3b7c24e24c09a2b8e93183ee896f3832b89fffb1c1790800c023b2b477bc",
+    "ula/h_0.5.csv": "b0fcf3431afec764f3d783a415c5944faabf33fcd676c01ee761f7c777f87c61",
+    "ula/h_1.csv": "f175be351557dbe93d14bcd5b071fd320cc7b148ccd6e55d205f60348fa0f9ae",
+    "ula/metrics.csv": "f76368644423e5f5a7c55dccd26d2b1a4767338b9efa6453102cd83018777ebb",
+    "ula/samples.csv": "1c6df6af124df956d5a6ef6115a4749702986aa93f66c166b387129d74e8aab3",
 }
 
 

@@ -1,4 +1,4 @@
-"""Random-stream layout 2: one Philox stream per column, draws over particles."""
+"""Random-stream layout 3: one Philox stream per column, read whole."""
 
 import json
 
@@ -10,36 +10,36 @@ from gradflow.rng import RNG_LAYOUT, RngStream, _KEY_PAD, _U_MIN
 from gradflow.runner import run_experiment
 
 
-def _column(seed, ctx, step, c, n):
+def _column(seed, ctx, step, c):
     key = np.array([seed, _KEY_PAD], dtype=np.uint64)
     counter = np.array([0, ctx, step, c + 1], dtype=np.uint64)
-    draws = np.random.Generator(np.random.Philox(key=key, counter=counter)).random(n)
-    return np.maximum(draws, _U_MIN)
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
 def test_column_c_is_its_own_philox_stream():
     seed, n = 20240613, 37
     for ctx, step, width in ((0, 0, 1), (0, 9, 3), (1, 0, 5), (0, 2**40, 2)):
-        block = RngStream(seed).uniform_rows(step, 0, n, width, context=ctx)
-        assert block.shape == (n, width)
+        uniforms = RngStream(seed).uniform_rows(step, n, width, context=ctx)
+        normals = RngStream(seed).normal_rows(step, n, width, context=ctx)
+        assert uniforms.shape == normals.shape == (n, width)
         for c in range(width):
-            assert np.array_equal(block[:, c], _column(seed, ctx, step, c, n))
+            want = np.maximum(_column(seed, ctx, step, c).random(n), _U_MIN)
+            assert np.array_equal(uniforms[:, c], want)
+            assert np.array_equal(normals[:, c],
+                                  _column(seed, ctx, step, c).standard_normal(n))
 
 
 @settings(max_examples=60, deadline=None)
-@given(start=st.integers(0, 37), split=st.integers(0, 40), length=st.integers(0, 40),
-       width=st.integers(1, 6), extra=st.integers(1, 5))
-def test_chunks_concatenate_and_narrow_blocks_are_prefixes(start, split, length,
-                                                           width, extra):
+@given(n=st.integers(0, 40), width=st.integers(1, 6), extra=st.integers(1, 5),
+       column=st.integers(0, 6), step=st.integers(0, 2**20), gaussian=st.booleans())
+def test_narrow_blocks_are_prefixes_and_column_blocks_are_slices(n, width, extra, column,
+                                                                 step, gaussian):
     s = RngStream(99)
-    stop = start + length
-    mid = min(start + split, stop)
-    whole = s.uniform_rows(4, start, stop, width)
-    chunks = np.concatenate([s.uniform_rows(4, start, mid, width),
-                             s.uniform_rows(4, mid, stop, width)])
-    assert np.array_equal(chunks, whole)
-    assert np.array_equal(whole, s.uniform_rows(4, 0, stop, width)[start:])
-    assert np.array_equal(whole, s.uniform_rows(4, start, stop, width + extra)[:, :width])
+    draw = s.normal_rows if gaussian else s.uniform_rows
+    block = draw(step, n, width, column=column)
+    assert block.shape == (n, width)
+    assert np.array_equal(block, draw(step, n, width + extra, column=column)[:, :width])
+    assert np.array_equal(block, draw(step, n, column + width)[:, column:])
 
 
 def test_manifest_declares_the_layout(tmp_path):
@@ -55,5 +55,5 @@ outputs:
   - {kind: samples, path: s.csv}
 """)
     run_experiment(cfg, out_root=tmp_path)
-    assert RNG_LAYOUT == 2
-    assert json.loads((tmp_path / "manifest.json").read_text())["rng_layout"] == 2
+    assert RNG_LAYOUT == 3
+    assert json.loads((tmp_path / "manifest.json").read_text())["rng_layout"] == 3
