@@ -2,8 +2,11 @@
 
 A refactor of the runner or the config must not move a byte of what a run
 writes.  The sha256 of each data artifact of tiny runs is pinned here:
-gradient-descent trajectories from two starts, a ULA histogram, metrics
-and samples, and FPE and weighted-FPE densities and metrics.  The
+gradient-descent trajectories from two starts, ULA and MALA histograms,
+metrics and samples, and FPE and weighted-FPE densities and metrics.  The
+MALA run rejects some proposals and records a histogram step that is not
+a multiple of ``thin``, so a cache of V and grad V that went stale across
+a rejection or a recorded step would move its files.  The
 trajectories of every other descent method are pinned too, on 1-D
 problems so that each linear solve is 1x1: Newton, BFGS from three starts
 in one config (state leaking from one start into the next would move a
@@ -49,6 +52,22 @@ outputs:
   - {kind: samples, path: samples.csv}
 """
 
+MALA = """\
+problem: double_well
+method: mala
+tau: 0.1
+steps: 24
+seed: 5
+particles: 300
+init: {kind: points, points: [[-1.2], [0.1], [1.6]]}
+grid: {lo: -3.0, hi: 3.0, n: 30}
+thin: 5
+outputs:
+  - {kind: histogram, path: "h_{t}.csv", times: [0.3, 1.2]}
+  - {kind: metrics, path: metrics.csv}
+  - {kind: samples, path: samples.csv}
+"""
+
 FPE = """\
 problem: double_well
 method: fpe
@@ -68,7 +87,7 @@ def _descent(method, problem, init, extra=""):
             f"init: {init}\noutputs:\n  - {{kind: trajectory, path: \"traj_{{i}}.csv\"}}\n")
 
 
-RUNS = {"gd": GD, "ula": ULA, "fpe": FPE,
+RUNS = {"gd": GD, "ula": ULA, "mala": MALA, "fpe": FPE,
         "fpe_weighted": FPE.replace("method: fpe", "method: fpe_weighted"),
         "newton": _descent("newton", "double_well", "[[1.5], [-2.0]]"),
         "bfgs": _descent("bfgs", "double_well", "[[1.5], [-2.0], [0.3]]"),
@@ -99,6 +118,10 @@ SHA256 = {
         "0723d5f54118eb0502c44223b582346e58033f14c5ee141870dcab9a29e051d2",
     "gd_implicit_mixture/traj_1.csv":
         "1160d44f28a549bf4da35a85d06aade07fa9ae0c1f661082bec62a30a87cb302",
+    "mala/h_0.3.csv": "37d580b1caeedc21fe1665bfa43d31d687d3a143b68591b0f316307f9b98758c",
+    "mala/h_1.2.csv": "948cac03b37fd39b2254b8ba0e5b48668d0605eb32ee5f4b85f97dcdfa537c96",
+    "mala/metrics.csv": "50079d15db78dffaa85363b70ff15fa116aecc3c039e65428abace6e6a2f4be1",
+    "mala/samples.csv": "328474b8f6b3140bca1b6e1ae6c449bf4e4f3b8a3b8fff236a0662a99656b3cb",
     "mirror_negative_entropy/traj_0.csv":
         "6e5bcbe7d0603949f556735601132e8cf2499f6e412a3ee75f16b6714b010c91",
     "mirror_negative_entropy/traj_1.csv":
