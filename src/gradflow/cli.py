@@ -12,17 +12,8 @@ from pathlib import Path
 
 from .config import parse_config
 from .errors import ConfigError, GradflowError
+from .potentials import CATALOG
 from .runner import AssertionFailure, compare_files, run_experiment
-
-_CATALOG = """\
-double_well                         1-D quartic, minima at +-1
-pl_not_convex                       theta_1^2/2 on R^2
-quadratic:a1,a2,...                 sum a_i theta_i^2 (a_i > 0)
-gaussian_posterior:m0,v0,a,nv,y     1-D conjugate linear-Gaussian posterior
-mixture:w1,m1,s1;w2,m2,s2;...       1-D Gaussian mixture (s = std dev)
-boltzmann:beta,uq,kq                beta (uq q^2 + kq p^2)
-"""
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -80,7 +71,8 @@ def main(argv=None) -> int:
             value = compare_files(args.file_a, args.file_b, args.metric)
             print(f"{args.metric} {value:.17g}")
             return 0
-        print(_CATALOG, end="")
+        for grammar, summary, _ in CATALOG.values():
+            print(f"{grammar:<36}{summary}")
         return 0
     except ConfigError as exc:
         for line in exc.errors:

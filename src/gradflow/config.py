@@ -136,7 +136,8 @@ class ExperimentConfig:
         label): one per start of a deterministic run (label i, for ``{i}``),
         one per time (else the horizon) of a histogram or density output
         (label t, ``{t}`` -> ``f"{t:g}"``), else one at the literal path."""
-        n_starts = len(self.init) if np.ndim(self.init) == 2 else 1
+        # a missing or mapping init, which the gate refuses, counts as one start
+        n_starts = len(self.init) if isinstance(self.init, list) else 1
         files = []
         for spec in self.outputs:
             if self.family == "deterministic":
@@ -439,8 +440,7 @@ def parse_config(text: str) -> ExperimentConfig:
 def _indefinite_starts(potential, init):
     """(index, start) of each start of the right dimension whose Hessian has
     no Cholesky factor, the test the Newton step makes before it moves."""
-    starts = init if np.ndim(init) == 2 else [init]
-    for i, start in enumerate(starts):
+    for i, start in enumerate(init):
         if len(start) != potential.dim:
             continue
         try:
@@ -566,15 +566,16 @@ def _parse_grid(node, errors):
 
 
 def _parse_init(node, errors, dim):
-    """Initial condition: a point, a list of points (one deterministic flow
-    from each, or sampler particles as ``kind: points`` places them), or a
-    mapping of an init kind's keys.  Every point and mean must have ``dim``
-    coordinates (unchecked when ``dim`` is None)."""
+    """Initial condition: a list of points (one deterministic flow from
+    each, or sampler particles as ``kind: points`` places them), a single
+    point being read as a one-point list, or a mapping of an init kind's
+    keys.  Every point and mean must have ``dim`` coordinates (unchecked
+    when ``dim`` is None)."""
     if isinstance(node, yaml.SequenceNode):
         val = _construct(node)
         if all(_is_number(v) for v in val) and val:
             _check_dim(node, "init point", len(val), dim, errors)
-            return [float(v) for v in val]
+            return [[float(v) for v in val]]
         rows = _number_rows(val)
         if rows is None:
             errors.append(f"line {_line(node)}: init list must hold finite numbers or "

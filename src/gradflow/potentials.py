@@ -28,6 +28,7 @@ __all__ = [
     "make_boltzmann",
     "finite_diff_grad",
     "estimate_pl_constant",
+    "CATALOG",
     "from_identifier",
 ]
 
@@ -391,53 +392,60 @@ def estimate_pl_constant(p: Potential, probes) -> float:
     return best
 
 
+def _gaussian_posterior(args: str) -> Potential:
+    """1-D prior N(m0, v0), design a, noise variance nv, datum y."""
+    m0, v0, a, nv, y = _floats(args, expect=5)
+    pot, _ = make_gaussian_posterior(GaussianSpec(mean=[m0], covariance=[[v0]]),
+                                     design=[[a]], noise_cov=[[nv]], data=[y])
+    return pot
+
+
+def _mixture(args: str) -> Potential:
+    """1-D components N(m_i, s_i^2) with weights w_i, one ``;``-separated triple each."""
+    comps = []
+    for part in args.split(";"):
+        w, m, s = _floats(part, expect=3)
+        comps.append((w, GaussianSpec(mean=[m], covariance=[[s * s]])))
+    return make_gaussian_mixture(comps)
+
+
+def _boltzmann(args: str) -> Potential:
+    beta, uq, kq = _floats(args, expect=3)
+    return make_boltzmann(make_quadratic([uq]), make_quadratic([kq]), beta)
+
+
+# name -> (grammar, summary, builder of the text after the colon); a
+# grammar without a colon takes no parameters.  ``gradflow list-potentials``
+# prints the grammar and summary columns in this order.
+CATALOG = {
+    "double_well": ("double_well", "1-D quartic, minima at +-1",
+                    lambda _: make_double_well()),
+    "pl_not_convex": ("pl_not_convex", "theta_1^2/2 on R^2",
+                      lambda _: make_pl_not_convex()),
+    "quadratic": ("quadratic:a1,a2,...", "sum a_i theta_i^2 (a_i > 0)",
+                  lambda args: make_quadratic(_floats(args))),
+    "gaussian_posterior": ("gaussian_posterior:m0,v0,a,nv,y",
+                           "1-D conjugate linear-Gaussian posterior", _gaussian_posterior),
+    "mixture": ("mixture:w1,m1,s1;w2,m2,s2;...", "1-D Gaussian mixture (s = std dev)",
+                _mixture),
+    "boltzmann": ("boltzmann:beta,uq,kq", "beta (uq q^2 + kq p^2)", _boltzmann),
+}
+
+
 def from_identifier(spec: str) -> Potential:
-    """Build a catalog potential from its string identifier.
-
-    Grammar (all numbers are floats):
-
-    - ``double_well``
-    - ``pl_not_convex``
-    - ``quadratic:a1,a2,...``            V = sum a_i theta_i^2
-    - ``gaussian_posterior:m0,v0,a,nv,y`` 1-D prior N(m0, v0), design a,
-      noise variance nv, datum y
-    - ``mixture:w1,m1,s1;w2,m2,s2;...``   1-D components N(m_i, s_i^2)
-    - ``boltzmann:beta,uq,kq``            V = beta (uq q^2 + kq p^2)
-    """
+    """Build a catalog potential from its string identifier ``name[:args]``,
+    one of the grammar lines of ``CATALOG`` (all numbers are floats)."""
     name, _, args = spec.partition(":")
     name = name.strip()
+    if name not in CATALOG:
+        raise ValueError(f"unknown potential {name!r}")
+    grammar, _, build = CATALOG[name]
     try:
-        if name == "double_well":
-            _require_no_args(name, args)
-            return make_double_well()
-        if name == "pl_not_convex":
-            _require_no_args(name, args)
-            return make_pl_not_convex()
-        if name == "quadratic":
-            return make_quadratic(_floats(args))
-        if name == "gaussian_posterior":
-            m0, v0, a, nv, y = _floats(args, expect=5)
-            pot, _ = make_gaussian_posterior(
-                GaussianSpec(mean=[m0], covariance=[[v0]]),
-                design=[[a]], noise_cov=[[nv]], data=[y])
-            return pot
-        if name == "mixture":
-            comps = []
-            for part in args.split(";"):
-                w, m, s = _floats(part, expect=3)
-                comps.append((w, GaussianSpec(mean=[m], covariance=[[s * s]])))
-            return make_gaussian_mixture(comps)
-        if name == "boltzmann":
-            beta, uq, kq = _floats(args, expect=3)
-            return make_boltzmann(make_quadratic([uq]), make_quadratic([kq]), beta)
+        if args and ":" not in grammar:
+            raise ValueError(f"{name} takes no parameters")
+        return build(args)
     except ValueError as exc:
         raise ValueError(f"bad potential identifier {spec!r}: {exc}") from exc
-    raise ValueError(f"unknown potential {name!r}")
-
-
-def _require_no_args(name: str, args: str):
-    if args:
-        raise ValueError(f"{name} takes no parameters")
 
 
 def _floats(text: str, expect: Optional[int] = None):

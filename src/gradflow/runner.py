@@ -124,10 +124,9 @@ def _make_stepper(cfg: ExperimentConfig, potential):
 
 
 def _run_deterministic(cfg, potential):
-    starts = cfg.init if np.ndim(cfg.init) == 2 else [cfg.init]
     stepper = _make_stepper(cfg, potential)
     trajectories = [run_flow(potential, stepper, start, cfg.n_steps(), cfg.tau)
-                    for start in starts]
+                    for start in cfg.init]
     products = {"trajectory": (write_trajectory_csv, trajectories.__getitem__),
                 "rates": (write_rates_report,
                           lambda i: verify_rates(trajectories[i], potential))}
@@ -140,8 +139,8 @@ def _initial_ensemble(cfg) -> Ensemble:
     rng = RngStream(cfg.seed)
     spec = cfg.init
     j = cfg.particles
-    if isinstance(spec, list):  # one point, or a list of points as kind: points
-        return Ensemble.at_points(rng, j, spec if isinstance(spec[0], list) else [spec])
+    if isinstance(spec, list):  # a list of points, placed as kind: points
+        return Ensemble.at_points(rng, j, spec)
     if spec["kind"] == "points":
         return Ensemble.at_points(rng, j, spec["points"])
     mean = np.asarray(spec["mean"], dtype=float)

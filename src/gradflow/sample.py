@@ -10,10 +10,13 @@ reproducible bit for bit.  Per-step draw layout, by stream column:
                   + replacement-partner uniform
 
 Ensemble initialization uses context 1 of the stream, dynamics context 0.
-Every step is a plain map from the ``(J, dim)`` particles and that step's
-draws to the next particles.  ``_transition`` is the one place that reads
-the stream, so the layout above is read off it, and ``run_sampler`` is a
-single loop over the transition it returns.
+Every step is a plain map from the ``(J, dim)`` particles, a carry and
+that step's draws to the next particles and carry; only MALA's carry
+holds anything (V and grad V at the particles).  ``_transition`` is the
+one place that reads the stream, so the layout above is read off it, and
+``run_sampler`` is a single loop that threads the carry through the
+transition it returns.  A run's ``stats`` describe the ensemble it ends
+with, whatever states it records on the way.
 """
 
 from __future__ import annotations
@@ -82,7 +85,9 @@ class Ensemble:
 
 @dataclass
 class ChainStats:
-    """Move accounting and pooled moments of the recorded states."""
+    """Move accounting and the moments of the ensemble a run ends with:
+    ``mean`` and ``cov`` (divisor J - 1, zeros when J = 1) of its final
+    particles."""
 
     n_steps: int
     n_moves: int
@@ -239,49 +244,42 @@ def bdl_step(p: Potential, x, tau: float, noise, uniforms, bandwidth="auto",
 
 # --- driver -------------------------------------------------------------------
 
-def _mala_kernel(p: Potential, rng: RngStream, tau: float, x: np.ndarray):
-    """Batched MALA transition that caches V and grad V at the current
-    particles, so each step evaluates the potential at the proposals only."""
-    energy = np.asarray(p.value(x), dtype=float)
-    grads = p.grad(x)
-
-    def step(x, k):
-        nonlocal energy, grads
-        j, dim = x.shape
-        noise = rng.normal_rows(k, j, dim)
-        u = rng.uniform_rows(k, j, 1, column=dim)[:, 0]
-        proposal = x - tau * grads + np.sqrt(2.0 * tau) * noise
-        prop_energy = np.asarray(p.value(proposal), dtype=float)
-        prop_grads = p.grad(proposal)
-        log_a = _mala_log_ratio(x, energy, grads, proposal, prop_energy, prop_grads, tau)
-        accept = u < np.exp(np.minimum(0.0, log_a))
-        energy = np.where(accept, prop_energy, energy)
-        grads = np.where(accept[:, None], prop_grads, grads)
-        return np.where(accept[:, None], proposal, x), int(accept.sum())
-
-    return step
-
-
-def _transition(method: str, p: Potential, rng: RngStream, tau: float,
-                x: np.ndarray, ridge, bandwidth):
-    """The method as one transition step(x, k) -> (x, n_accepted) of the
-    (J, dim) particles x; the one reader of the stream, it draws the columns
-    of stream step k in the module docstring's layout and hands them to a map."""
-    j, dim = x.shape
+def _transition(method: str, p: Potential, rng: RngStream, tau: float, ridge, bandwidth):
+    """The method as one plain map step(x, carry, k) -> (x, carry, n_accepted)
+    of the (J, dim) particles x; the one reader of the stream, it draws the
+    columns of stream step k in the module docstring's layout and hands
+    them to a map.  MALA's carry is (V(x), grad V(x)), computed at x when
+    the carry is None, so each step evaluates the potential at the
+    proposals only; the other methods pass their carry through untouched."""
     if method == "mala":
-        return _mala_kernel(p, rng, tau, x)
-    if method == "ula":
-        def step(x, k):
-            return ula_step(p, x, tau, rng.normal_rows(k, j, dim)), j
-    elif method == "ensemble":
-        def step(x, k):
+        def step(x, carry, k):
+            j, dim = x.shape
+            if carry is None:
+                carry = np.asarray(p.value(x), dtype=float), p.grad(x)
+            energy, grads = carry
             noise = rng.normal_rows(k, j, dim)
-            return ensemble_langevin_step(p, x, tau, noise, ridge=ridge), j
+            u = rng.uniform_rows(k, j, 1, column=dim)[:, 0]
+            proposal = x - tau * grads + np.sqrt(2.0 * tau) * noise
+            prop_energy = np.asarray(p.value(proposal), dtype=float)
+            prop_grads = p.grad(proposal)
+            log_a = _mala_log_ratio(x, energy, grads, proposal, prop_energy, prop_grads, tau)
+            accept = u < np.exp(np.minimum(0.0, log_a))
+            carry = (np.where(accept, prop_energy, energy),
+                     np.where(accept[:, None], prop_grads, grads))
+            return np.where(accept[:, None], proposal, x), carry, int(accept.sum())
+    elif method == "ula":
+        def step(x, carry, k):
+            return ula_step(p, x, tau, rng.normal_rows(k, *x.shape)), carry, len(x)
+    elif method == "ensemble":
+        def step(x, carry, k):
+            noise = rng.normal_rows(k, *x.shape)
+            return ensemble_langevin_step(p, x, tau, noise, ridge=ridge), carry, len(x)
     else:
-        def step(x, k):
+        def step(x, carry, k):
+            j, dim = x.shape
             noise = rng.normal_rows(k, j, dim)
             uniforms = rng.uniform_rows(k, j, 2, column=dim)
-            return bdl_step(p, x, tau, noise, uniforms, bandwidth=bandwidth), j
+            return bdl_step(p, x, tau, noise, uniforms, bandwidth=bandwidth), carry, j
     return step
 
 
@@ -299,9 +297,11 @@ def run_sampler(method: str, p: Potential, init: Ensemble, tau: float,
 
     ``record``, when given, replaces ``thin``: the step counts in
     0..n_steps after which the state is recorded.  The initial state is
-    always recorded first, and the pooled moments in ``stats`` cover the
-    recorded states after it.  Output is deterministic given the stream
-    seed; a non-finite state aborts with the offending step and particle.
+    always recorded first.  The transition's carry starts as None and is
+    threaded from step to step.  ``stats`` describe the final particles,
+    recorded or not, so what is recorded never changes them.  Output is
+    deterministic given the stream seed; a non-finite state aborts with
+    the offending step and particle.
     """
     if method not in ("ula", "mala", "ensemble", "bdl"):
         raise ValueError(f"unknown sampler method {method!r}")
@@ -319,13 +319,14 @@ def run_sampler(method: str, p: Potential, init: Ensemble, tau: float,
 
     particles = init.particles
     j, dim = particles.shape
-    step = _transition(method, p, init.rng, tau, particles, ridge, bandwidth)
+    step = _transition(method, p, init.rng, tau, ridge, bandwidth)
+    carry = None
     recorded = [0]
     snaps = [particles]
     n_accepted = 0
     for local in range(1, n_steps + 1):
         k = init.step + local - 1  # stream step index for this transition
-        particles, accepted = step(particles, k)
+        particles, carry, accepted = step(particles, carry, k)
         _check_finite(particles, k)
         n_accepted += accepted
         if local in keep:
@@ -333,14 +334,10 @@ def run_sampler(method: str, p: Potential, init: Ensemble, tau: float,
             snaps.append(particles)
 
     steps = init.step + np.asarray(recorded, dtype=int)
-    states = np.stack(snaps)
-    pooled = states[1:] if states.shape[0] > 1 else states
-    flat = pooled.reshape(-1, dim)
-    mean = flat.mean(axis=0)
-    cov = np.atleast_2d(np.cov(flat.T)) if flat.shape[0] > 1 else np.zeros((dim, dim))
+    cov = np.atleast_2d(np.cov(particles.T)) if j > 1 else np.zeros((dim, dim))
     stats = ChainStats(n_steps=n_steps, n_moves=j * n_steps, n_accepted=n_accepted,
-                       mean=mean, cov=cov)
-    return SampleRun(times=steps * tau, steps=steps, states=states, stats=stats)
+                       mean=particles.mean(axis=0), cov=cov)
+    return SampleRun(times=steps * tau, steps=steps, states=np.stack(snaps), stats=stats)
 
 
 def integrated_autocorr_time(series: np.ndarray) -> float:

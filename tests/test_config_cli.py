@@ -327,7 +327,7 @@ bandwidth: auto
 manifest: manifest.json
 """,
      {"problem": "quadratic:0.5,2.0", "method": "mirror", "tau": 0.1, "steps": 0,
-      "init": [1.0, 2.0], "thin": 1, "workers": 1, "ridge": 0.0,
+      "init": [[1.0, 2.0]], "thin": 1, "workers": 1, "ridge": 0.0,
       "mirror_map": "negative_entropy",
       "outputs": [{"kind": "trajectory", "path": "t.csv"}, {"kind": "rates", "path": "r.txt"}],
       "assertions": [{"check": "endpoint_near", "point": [0.0, 0.0], "tol": 1.0}]}),
@@ -760,6 +760,34 @@ def test_rerun_is_byte_identical(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+STATS_ONLY = """\
+problem: double_well
+method: ula
+tau: 0.05
+steps: 20
+seed: 3
+particles: 1000
+init: [0.5]
+grid: {lo: -3.0, hi: 3.0, n: 30}
+outputs:
+  - {kind: stats, path: stats.txt}
+"""
+
+
+@pytest.mark.parametrize("extra", [
+    "  - {kind: histogram, path: h.csv, times: [0.05]}\n",
+    "  - {kind: metrics, path: m.csv, times: [0.25, 0.5]}\n",
+    "  - {kind: samples, path: s.csv}\nthin: 3\n",
+    "assertions:\n  - {check: metric_max, metric: tv, time: 0.1, max: 1.0}\n"
+    "  - {check: metric_max, metric: tv, time: 1.0, max: 1.0}\n",
+], ids=["histogram", "metrics", "thin", "metric_max"])
+def test_stats_describe_the_final_ensemble_whatever_else_is_recorded(tmp_path, extra):
+    run_experiment(parse_config(STATS_ONLY), out_root=tmp_path / "alone")
+    run_experiment(parse_config(STATS_ONLY + extra), out_root=tmp_path / "beside")
+    assert ((tmp_path / "alone/stats.txt").read_bytes()
+            == (tmp_path / "beside/stats.txt").read_bytes())
+
+
 def test_worker_override_does_not_change_bytes(tmp_path):
     cfg = parse_config(TINY_ULA)
     run_experiment(cfg, out_root=tmp_path / "w1", workers_override=1)
@@ -859,6 +887,21 @@ def test_cli_run_validate_compare(tmp_path, capsys):
     assert "double_well" in capsys.readouterr().out
 
 
+LIST_POTENTIALS = """\
+double_well                         1-D quartic, minima at +-1
+pl_not_convex                       theta_1^2/2 on R^2
+quadratic:a1,a2,...                 sum a_i theta_i^2 (a_i > 0)
+gaussian_posterior:m0,v0,a,nv,y     1-D conjugate linear-Gaussian posterior
+mixture:w1,m1,s1;w2,m2,s2;...       1-D Gaussian mixture (s = std dev)
+boltzmann:beta,uq,kq                beta (uq q^2 + kq p^2)
+"""
+
+
+def test_list_potentials_prints_the_catalog(capsys):
+    assert main(["list-potentials"]) == 0
+    assert capsys.readouterr().out == LIST_POTENTIALS
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("method: gd\n")
@@ -880,6 +923,40 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["run", str(failing), "--out-root", str(tmp_path)]) == 4
     err = capsys.readouterr().err
     assert "assertion failed" in err
+
+
+@pytest.mark.parametrize("second,code,message", [
+    ("[-2.0]", 4, "assertion failed: endpoint [-1.] is 2.000e+00 from [1.] (tol 0.001)\n"),
+    ("[2.0]", 0, ""),
+], ids=["other-basin", "same-basin"])
+def test_cli_endpoint_near_checks_every_start(tmp_path, capsys, second, code, message):
+    cfg_path = tmp_path / "exp.yaml"
+    cfg_path.write_text(MINIMAL_GD.replace("init: [0.5]", f"init: [[0.5], {second}]") + (
+        "assertions:\n  - {check: endpoint_near, point: [1.0], tol: 1.0e-3}\n"))
+    assert main(["run", str(cfg_path), "--out-root", str(tmp_path)]) == code
+    assert capsys.readouterr().err == message
+
+
+def test_cli_metric_monotone_fails_when_tv_rises(tmp_path, capsys):
+    # pi-distributed particles: the histogram's TV to pi is sampling noise,
+    # which rises from t=0.5 to t=1 at this seed
+    cfg_path = tmp_path / "exp.yaml"
+    cfg_path.write_text("""\
+problem: quadratic:0.5
+method: ula
+tau: 0.1
+steps: 20
+seed: 2
+particles: 200
+init: {kind: gaussian, mean: [0.0], var: 1.0}
+grid: {lo: -4.0, hi: 4.0, n: 20}
+outputs:
+  - {kind: metrics, path: metrics.csv, times: [0.5, 1.0, 1.5, 2.0]}
+assertions:
+  - {check: metric_monotone, metric: tv}
+""")
+    assert main(["run", str(cfg_path), "--out-root", str(tmp_path)]) == 4
+    assert capsys.readouterr().err == "assertion failed: tv increased from 0.117356 to 0.123625\n"
 
 
 def test_cli_seed_override_changes_output(tmp_path):

@@ -240,6 +240,29 @@ def test_gradient_inversion_checks_the_residual_after_its_last_step():
     assert x.tolist() == [1.5]
 
 
+def test_gradient_inversion_rejects_trials_outside_the_domain():
+    # a full Newton step from 10 toward exp(z) = 0.01 lands at -59: its
+    # residual raises ValueError, so the step is halved until it stays positive
+    from gradflow.optimize import invert_gradient_newton
+    mmap = negative_entropy_mirror_map()
+    with pytest.raises(ValueError):
+        mmap.h_grad(np.array([10.0]) - np.log(10.0 / 0.01) * 10.0)
+    x = invert_gradient_newton(mmap.h_grad, lambda th: np.diag(1.0 / th),
+                               np.log([0.01]), x0=np.array([10.0]))
+    assert x == pytest.approx([0.01], rel=1e-9)
+
+
+def test_damped_newton_stops_at_a_singular_jacobian():
+    from gradflow.optimize import _damped_newton, invert_gradient_newton
+    x, converged = _damped_newton(lambda x: x - 1.0, lambda x: np.zeros((1, 1)),
+                                  np.array([3.0]), 1e-10, 10)
+    assert (x.tolist(), converged) == ([3.0], False)
+    with pytest.raises(ConvergenceError) as err:
+        invert_gradient_newton(lambda th: th**3, lambda th: np.diag(3.0 * th**2),
+                               np.array([8.0]), x0=np.array([0.0]))
+    assert err.value.best.tolist() == [0.0]
+
+
 # --- Bregman divergence --------------------------------------------------------------
 
 def test_bregman_quadratic_is_half_squared_distance():
@@ -291,6 +314,18 @@ def test_line_search_tiny_step_passes_unchanged():
     with pytest.raises(ValueError):
         backtracking_line_search(dw, np.array([2.0]), np.array([-9.0]),
                                  tau0=1.0, shrink=1.5)
+
+
+def test_line_search_shrinks_to_the_first_sufficient_decrease():
+    # V = x^2 from 1 along -grad = -2: Armijo holds for tau <= 1 - 1e-4,
+    # first reached at 10 / 2^4
+    q = make_quadratic([1.0])
+    tau = backtracking_line_search(q, np.array([1.0]), np.array([-2.0]), tau0=10.0)
+    assert tau == 0.625
+    with pytest.raises(LineSearchError, match="no acceptable step within 3 shrinks "
+                                              "from tau0=10"):
+        backtracking_line_search(q, np.array([1.0]), np.array([-2.0]), tau0=10.0,
+                                 max_shrinks=3)
 
 
 # --- run_flow ---------------------------------------------------------------------------

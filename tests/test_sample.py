@@ -334,8 +334,7 @@ def test_run_sampler_thin_and_stats():
 
 def _chained_segments(method, p, ens, tau, record):
     """Reference for ``record=``: one run per gap between recorded steps,
-    each resumed from the last state, with acceptances summed and the
-    recorded states pooled afterwards."""
+    each resumed from the last state, with acceptances summed."""
     states = {0: ens.particles}
     n_accepted = 0
     for prev, nxt in zip(record[:-1], record[1:]):
@@ -343,9 +342,7 @@ def _chained_segments(method, p, ens, tau, record):
         ens = Ensemble(particles=run.final, rng=ens.rng, step=nxt)
         states[nxt] = run.final
         n_accepted += run.stats.n_accepted
-    pooled = np.concatenate([states[k] for k in record[1:]]) if len(record) > 1 else states[0]
-    return (np.stack([states[k] for k in record]), n_accepted,
-            pooled.mean(axis=0), np.atleast_2d(np.cov(pooled.T)))
+    return np.stack([states[k] for k in record]), n_accepted
 
 
 @settings(max_examples=40, deadline=None)
@@ -357,13 +354,33 @@ def test_recorded_run_equals_chained_segments(method, n_steps, data):
     p = make_quadratic([0.5, 4.0])
     ens = Ensemble.gaussian(RngStream(17), 12, [0.5, -0.3], [[1.0, 0.2], [0.2, 0.5]])
     run = run_sampler(method, p, ens, 0.2, n_steps, record=set(record))
-    states, n_accepted, mean, cov = _chained_segments(method, p, ens, 0.2, record)
+    states, n_accepted = _chained_segments(method, p, ens, 0.2, record)
     assert run.steps.tolist() == record
     assert np.array_equal(run.states, states)
     assert run.stats.n_accepted == n_accepted
     assert run.stats.n_moves == 12 * n_steps
-    assert np.array_equal(run.stats.mean, mean)
-    assert np.array_equal(run.stats.cov, cov)
+    assert np.array_equal(run.stats.mean, states[-1].mean(axis=0))
+    assert np.array_equal(run.stats.cov, np.cov(states[-1].T))
+
+
+@pytest.mark.parametrize("method", ["ula", "mala", "ensemble", "bdl"])
+def test_stats_are_the_moments_of_the_final_ensemble(method):
+    p = make_quadratic([0.5, 4.0])
+    ens = Ensemble.gaussian(RngStream(5), 30, [0.5, -0.3], [[1.0, 0.2], [0.2, 0.5]])
+    # thin=5 never records step 12, yet the stats still describe it
+    runs = [run_sampler(method, p, ens, 0.1, 12, thin=thin) for thin in (1, 5, 12)]
+    runs.append(run_sampler(method, p, ens, 0.1, 12, record={0, 3, 12}))
+    final = runs[0].final
+    for run in runs:
+        assert np.array_equal(run.stats.mean, final.mean(axis=0))
+        assert np.array_equal(run.stats.cov, np.cov(final.T))
+
+
+def test_stats_of_one_particle_have_zero_covariance():
+    ens = Ensemble(particles=[[0.3, -0.2]], rng=RngStream(2))
+    run = run_sampler("mala", make_quadratic([0.5, 4.0]), ens, 0.1, 4)
+    assert np.array_equal(run.stats.mean, run.final[0])
+    assert np.array_equal(run.stats.cov, np.zeros((2, 2)))
 
 
 def test_run_sampler_rejects_record_outside_the_run():
