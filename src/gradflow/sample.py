@@ -119,7 +119,23 @@ def ula_step(p: Potential, theta, tau: float, noise) -> np.ndarray:
     if tau <= 0:
         raise ValueError("tau must be positive")
     th = np.asarray(theta, dtype=float)
-    return th - tau * p.grad(th) + np.sqrt(2.0 * tau) * np.asarray(noise, dtype=float)
+    return _langevin_move(th, p.grad(th), tau, np.asarray(noise, dtype=float))
+
+
+def _langevin_move(x, g, tau: float, noise) -> np.ndarray:
+    """x - tau g + sqrt(2 tau) noise, built in one new array.
+
+    -tau g is -(tau g) and x + (-(tau g)) is x - tau g bit for bit, so the
+    result has the bytes of the plain expression; x, g and noise are only
+    read, and the scaled noise is the one other full-size temporary.
+    """
+    out = np.multiply(g, -tau)
+    # when the caller holds no other reference (ula_step), this frees the
+    # gradient before the noise is scaled
+    del g
+    out += x
+    out += np.sqrt(2.0 * tau) * noise
+    return out
 
 
 def _mala_log_ratio(x, v_x, g_x, y, v_y, g_y, tau: float):
@@ -259,14 +275,17 @@ def _transition(method: str, p: Potential, rng: RngStream, tau: float, ridge, ba
             energy, grads = carry
             noise = rng.normal_rows(k, j, dim)
             u = rng.uniform_rows(k, j, 1, column=dim)[:, 0]
-            proposal = x - tau * grads + np.sqrt(2.0 * tau) * noise
+            proposal = _langevin_move(x, grads, tau, noise)
             prop_energy = np.asarray(p.value(proposal), dtype=float)
             prop_grads = p.grad(proposal)
             log_a = _mala_log_ratio(x, energy, grads, proposal, prop_energy, prop_grads, tau)
             accept = u < np.exp(np.minimum(0.0, log_a))
-            carry = (np.where(accept, prop_energy, energy),
-                     np.where(accept[:, None], prop_grads, grads))
-            return np.where(accept[:, None], proposal, x), carry, int(accept.sum())
+            # a NaN log ratio is not accepted, so it rejects
+            reject = ~accept
+            np.copyto(proposal, x, where=reject[:, None])
+            np.copyto(prop_energy, energy, where=reject)
+            np.copyto(prop_grads, grads, where=reject[:, None])
+            return proposal, (prop_energy, prop_grads), int(accept.sum())
     elif method == "ula":
         def step(x, carry, k):
             return ula_step(p, x, tau, rng.normal_rows(k, *x.shape)), carry, len(x)
@@ -284,9 +303,10 @@ def _transition(method: str, p: Potential, rng: RngStream, tau: float, ridge, ba
 
 
 def _check_finite(particles: np.ndarray, step: int):
+    if np.isfinite(particles).all():
+        return
     finite = np.isfinite(particles).all(axis=1)
-    if not finite.all():
-        raise DivergenceError(step=step, particle=int(np.argmin(finite)))
+    raise DivergenceError(step=step, particle=int(np.argmin(finite)))
 
 
 def run_sampler(method: str, p: Potential, init: Ensemble, tau: float,
@@ -297,9 +317,10 @@ def run_sampler(method: str, p: Potential, init: Ensemble, tau: float,
 
     ``record``, when given, replaces ``thin``: the step counts in
     0..n_steps after which the state is recorded.  The initial state is
-    always recorded first.  The transition's carry starts as None and is
-    threaded from step to step.  ``stats`` describe the final particles,
-    recorded or not, so what is recorded never changes them.  Output is
+    always recorded first and the state after n_steps last, so ``final``
+    is the ensemble that ``stats`` describe.  The transition's carry
+    starts as None and is threaded from step to step.  What is recorded
+    never changes ``stats``.  Output is
     deterministic given the stream seed; a non-finite state aborts with
     the offending step and particle.
     """
@@ -314,6 +335,7 @@ def run_sampler(method: str, p: Potential, init: Ensemble, tau: float,
     keep = set(range(0, n_steps + 1, thin) if record is None else record)
     if keep and not 0 <= min(keep) <= max(keep) <= n_steps:
         raise ValueError("record steps must lie in 0..n_steps")
+    keep.add(n_steps)
     if init.dim != p.dim:
         raise ValueError(f"ensemble dimension {init.dim} != potential dimension {p.dim}")
 

@@ -35,6 +35,22 @@ def test_ula_pure_diffusion_arithmetic():
     assert out[0] == pytest.approx(1.0)
 
 
+def test_ula_step_is_the_plain_expression_bit_for_bit():
+    # every pairing of signed zeros, normal and subnormal-scale values in
+    # theta, the gradient and the noise; the gradient is one cached array,
+    # as a potential may hand back, and no input array is written
+    values = np.array([0.0, -0.0, 1.5, -2.25e-300])
+    theta, cached, noise = (a.reshape(-1, 1).copy()
+                            for a in np.meshgrid(values, values, values, indexing="ij"))
+    p = Potential(dim=1, value=lambda t: np.zeros(len(t)), grad=lambda t: cached)
+    before = [a.tobytes() for a in (theta, cached, noise)]
+    for tau in (0.1, 0.5, 1e-300):
+        want = theta - tau * cached + np.sqrt(2.0 * tau) * noise
+        got = ula_step(p, theta, tau, noise)
+        assert got.tobytes() == want.tobytes()
+        assert [a.tobytes() for a in (theta, cached, noise)] == before
+
+
 def test_ula_stationary_variance_matches_ar1_fixed_point():
     # v = (1 - tau)^2 v + 2 tau  =>  v = 1 / (1 - tau/2)
     tau = 0.5
@@ -322,6 +338,18 @@ def test_run_sampler_divergence_error_names_step_and_particle(method):
     assert (err.value.step, err.value.particle) == (0, 0)
 
 
+def test_mala_rejects_proposals_whose_log_ratio_is_nan():
+    # MALA cannot diverge from finite particles: from 1e200 on a quartic,
+    # V and grad V overflow, every log ratio there is NaN, and NaN rejects
+    quartic = Potential(dim=1, value=lambda t: t[..., 0] ** 4,
+                        grad=lambda t: 4.0 * t**3)
+    start = Ensemble(particles=np.array([[1e200], [0.0], [0.5]]), rng=RngStream(1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        run = run_sampler("mala", quartic, start, 1.0, 10)
+    assert np.all(run.states[:, 0, 0] == 1e200)
+    assert np.all(np.isfinite(run.states))
+
+
 def test_run_sampler_thin_and_stats():
     ens = Ensemble.gaussian(RngStream(12), 5, [0.0], [[1.0]])
     run = run_sampler("ula", STD_GAUSSIAN, ens, 0.1, 10, thin=2)
@@ -374,6 +402,14 @@ def test_stats_are_the_moments_of_the_final_ensemble(method):
     for run in runs:
         assert np.array_equal(run.stats.mean, final.mean(axis=0))
         assert np.array_equal(run.stats.cov, np.cov(final.T))
+
+
+def test_final_is_the_state_after_the_last_step():
+    # thin=5 does not divide 12, yet the run still ends on step 12's ensemble
+    ens = Ensemble.gaussian(RngStream(5), 30, [0.5, -0.3], [[1.0, 0.2], [0.2, 0.5]])
+    run = run_sampler("ula", make_quadratic([0.5, 4.0]), ens, 0.1, 12, thin=5)
+    assert list(run.steps) == [0, 5, 10, 12]
+    assert np.array_equal(run.final.mean(axis=0), run.stats.mean)
 
 
 def test_stats_of_one_particle_have_zero_covariance():
