@@ -1,18 +1,21 @@
-"""Counter-based random streams for reproducible particle simulations.
+"""Address-seeded random streams for reproducible particle simulations.
 
 Every draw is addressed by (seed, context, step, column, particle) and is
-computed from a Philox counter, never from sequential generator state:
-identical (seed, context, step) always yield identical draws, in any
-order of calls.
+computed from a generator seeded by its address, never from sequential
+generator state: identical (seed, context, step) always yield identical
+draws, in any order of calls.
 
-Random-stream layout 3 (``RNG_LAYOUT``): column ``c`` of step ``k`` in
-context ``ctx`` is its own Philox stream, key ``(seed, _KEY_PAD)`` and
-counter ``(0, ctx, k, c + 1)``.  A uniform column of ``n`` particles is
-``random(n)`` of that stream and a Gaussian column is
-``standard_normal(n)`` (numpy's ziggurat), so particle ``i`` takes the
-``i``-th value of its column.  A block of columns ``c..c+w-1`` is read
-whole; a narrower block is a prefix of a wider one, and the columns of a
-block do not depend on where it starts.
+Random-stream layout 4 (``RNG_LAYOUT``): column ``c`` of step ``k`` in
+context ``ctx`` is its own SFC64 stream, seeded with the address
+``[seed, ctx, k, c + 1]`` (seed, ctx and k taken mod 2**64), which
+numpy's ``SeedSequence`` hashes into the generator state.  The hash
+reads each integer as its 32-bit words, so distinct addresses are
+distinct words while context, step and ``c + 1`` stay below 2**32.  A
+uniform column of ``n`` particles is ``random(n)`` of that stream and a
+Gaussian column is ``standard_normal(n)`` (numpy's ziggurat), so
+particle ``i`` takes the ``i``-th value of its column.  A block of
+columns ``c..c+w-1`` is read whole; a narrower block is a prefix of a
+wider one, and the columns of a block do not depend on where it starts.
 """
 
 from __future__ import annotations
@@ -21,12 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# configs may hold negative seeds; SeedSequence takes nonnegative integers
 _MASK64 = (1 << 64) - 1
-# second key word decorrelates small seeds; any fixed odd constant works
-_KEY_PAD = 0x9E3779B97F4A7C15
 _U_MIN = 2.0**-64
 # the random-stream layout version, recorded in every run manifest
-RNG_LAYOUT = 3
+RNG_LAYOUT = 4
 
 
 def ndtri(u):
@@ -53,12 +55,10 @@ class RngStream:
                  column: int) -> np.ndarray:
         """A ``(n, width)`` block whose column ``c`` is the ``Generator`` draw
         ``method`` of ``n`` values from stream column ``column + c``."""
-        key = np.array([self.seed & _MASK64, _KEY_PAD], dtype=np.uint64)
+        address = [self.seed & _MASK64, context & _MASK64, step & _MASK64]
         out = np.empty((width, n))
         for c in range(width):
-            counter = np.array([0, context & _MASK64, step & _MASK64, column + c + 1],
-                               dtype=np.uint64)
-            gen = np.random.Generator(np.random.Philox(key=key, counter=counter))
+            gen = np.random.Generator(np.random.SFC64(address + [column + c + 1]))
             getattr(gen, method)(out=out[c])
         return out.T
 

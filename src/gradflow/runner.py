@@ -1,7 +1,7 @@
 """Experiment execution: wire a config to potentials, methods, and artifacts.
 
 One process runs one experiment.  All randomness flows through the seeded
-counter-based stream, so rerunning a config reproduces every data
+address-seeded stream, so rerunning a config reproduces every data
 artifact byte for byte; only the manifest's wall time differs.  The
 config is taken as ``parse_config`` accepted it, and the checks made
 there are not repeated here: its time plan (``horizon()``,

@@ -1,7 +1,7 @@
 """Stochastic samplers on a deterministic randomness contract.
 
-All methods draw from counter-based substreams addressed by (seed,
-context, step, column), random-stream layout 3 of ``rng``, so runs are
+All methods draw from substreams seeded by their address (seed,
+context, step, column), random-stream layout 4 of ``rng``, so runs are
 reproducible bit for bit.  Per-step draw layout, by stream column:
 
 * ula / ensemble: dim Gaussian columns
@@ -320,9 +320,8 @@ def run_sampler(method: str, p: Potential, init: Ensemble, tau: float,
     always recorded first and the state after n_steps last, so ``final``
     is the ensemble that ``stats`` describe.  The transition's carry
     starts as None and is threaded from step to step.  What is recorded
-    never changes ``stats``.  Output is
-    deterministic given the stream seed; a non-finite state aborts with
-    the offending step and particle.
+    never changes ``stats``.  Output is deterministic given the stream
+    seed; a non-finite state aborts with the offending step and particle.
     """
     if method not in ("ula", "mala", "ensemble", "bdl"):
         raise ValueError(f"unknown sampler method {method!r}")

@@ -937,26 +937,28 @@ def test_cli_endpoint_near_checks_every_start(tmp_path, capsys, second, code, me
     assert capsys.readouterr().err == message
 
 
-def test_cli_metric_monotone_fails_when_tv_rises(tmp_path, capsys):
-    # pi-distributed particles: the histogram's TV to pi is sampling noise,
-    # which rises from t=0.5 to t=1 at this seed
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_cli_metric_monotone_fails_when_tv_rises(tmp_path, capsys, seed):
+    # ULA at tau = 1 on V = theta^2/2 maps theta to sqrt(2) xi, so particles
+    # drawn from pi = N(0, 1) have its biased law N(0, 2) after one step:
+    # the TV to pi rises from sampling noise (about 0.04) to about 0.17
     cfg_path = tmp_path / "exp.yaml"
-    cfg_path.write_text("""\
+    cfg_path.write_text(f"""\
 problem: quadratic:0.5
 method: ula
-tau: 0.1
-steps: 20
-seed: 2
-particles: 200
-init: {kind: gaussian, mean: [0.0], var: 1.0}
-grid: {lo: -4.0, hi: 4.0, n: 20}
+tau: 1.0
+steps: 2
+seed: {seed}
+particles: 2000
+init: {{kind: gaussian, mean: [0.0], var: 1.0}}
+grid: {{lo: -6.0, hi: 6.0, n: 40}}
 outputs:
-  - {kind: metrics, path: metrics.csv, times: [0.5, 1.0, 1.5, 2.0]}
+  - {{kind: metrics, path: metrics.csv, times: [0.0, 1.0, 2.0]}}
 assertions:
-  - {check: metric_monotone, metric: tv}
+  - {{check: metric_monotone, metric: tv}}
 """)
     assert main(["run", str(cfg_path), "--out-root", str(tmp_path)]) == 4
-    assert capsys.readouterr().err == "assertion failed: tv increased from 0.117356 to 0.123625\n"
+    assert capsys.readouterr().err.startswith("assertion failed: tv increased from ")
 
 
 def test_cli_seed_override_changes_output(tmp_path):

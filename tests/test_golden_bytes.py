@@ -118,10 +118,10 @@ SHA256 = {
         "0723d5f54118eb0502c44223b582346e58033f14c5ee141870dcab9a29e051d2",
     "gd_implicit_mixture/traj_1.csv":
         "1160d44f28a549bf4da35a85d06aade07fa9ae0c1f661082bec62a30a87cb302",
-    "mala/h_0.3.csv": "37d580b1caeedc21fe1665bfa43d31d687d3a143b68591b0f316307f9b98758c",
-    "mala/h_1.2.csv": "948cac03b37fd39b2254b8ba0e5b48668d0605eb32ee5f4b85f97dcdfa537c96",
-    "mala/metrics.csv": "50079d15db78dffaa85363b70ff15fa116aecc3c039e65428abace6e6a2f4be1",
-    "mala/samples.csv": "328474b8f6b3140bca1b6e1ae6c449bf4e4f3b8a3b8fff236a0662a99656b3cb",
+    "mala/h_0.3.csv": "30a4c9722c117fb02c3f13955ca0cbc2e0b70089e9a76f244e7338a377ba9068",
+    "mala/h_1.2.csv": "347a1bab41ce58c45e8aabca37a4fc4049847cdbbdead4fd858bd727733785bc",
+    "mala/metrics.csv": "931dcbdbe8cecf58c4e87fc0b804ade4f3a7780b828bffdce4696e042dbe9de2",
+    "mala/samples.csv": "5015f5cf67ed4aede9ca1ba939b618ff6b1f6cf22bc1f7a0471956b19b8a04c9",
     "mirror_negative_entropy/traj_0.csv":
         "6e5bcbe7d0603949f556735601132e8cf2499f6e412a3ee75f16b6714b010c91",
     "mirror_negative_entropy/traj_1.csv":
@@ -130,10 +130,10 @@ SHA256 = {
     "mirror_quadratic/traj_1.csv": "a17bc89069618fec3a6690f957781c8e9dc92b7b4ca970ff0cac8f4f7c5d14b0",
     "newton/traj_0.csv": "c9d84c65b5ea57f01fa77d4e4a26392dcf24d9e88eec6ae41771df9080bbb4ad",
     "newton/traj_1.csv": "65e8cdecac7a2fc3d0b8440a1e00d44db9fea9868b463fc7b4ea7e10b1964735",
-    "ula/h_0.5.csv": "b0fcf3431afec764f3d783a415c5944faabf33fcd676c01ee761f7c777f87c61",
-    "ula/h_1.csv": "f175be351557dbe93d14bcd5b071fd320cc7b148ccd6e55d205f60348fa0f9ae",
-    "ula/metrics.csv": "f76368644423e5f5a7c55dccd26d2b1a4767338b9efa6453102cd83018777ebb",
-    "ula/samples.csv": "1c6df6af124df956d5a6ef6115a4749702986aa93f66c166b387129d74e8aab3",
+    "ula/h_0.5.csv": "709c0372da676ff22e548cb9c194dac5a6f0028b230eebdcaa61d6a4ab242fa3",
+    "ula/h_1.csv": "6cde8e0a2e3acace9c5d544c57356622d37c542ef8be7848728924aa7ca08b77",
+    "ula/metrics.csv": "315e602219d841bea0ce56488a154854f6e0798c570fa8d0d196a552695677ee",
+    "ula/samples.csv": "a02269f403ebd831171ba20b79b61e17574618993e5fc56077633d697d62c4cd",
 }
 
 

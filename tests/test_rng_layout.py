@@ -1,24 +1,27 @@
-"""Random-stream layout 3: one Philox stream per column, read whole."""
+"""Random-stream layout 4: one SFC64 stream per column, seeded by its
+address through SeedSequence, read whole."""
 
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradflow.config import parse_config
-from gradflow.rng import RNG_LAYOUT, RngStream, _KEY_PAD, _U_MIN
+from gradflow.rng import RNG_LAYOUT, RngStream, _U_MIN
 from gradflow.runner import run_experiment
 
 
 def _column(seed, ctx, step, c):
-    key = np.array([seed, _KEY_PAD], dtype=np.uint64)
-    counter = np.array([0, ctx, step, c + 1], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+    entropy = np.random.SeedSequence([seed % 2**64, ctx % 2**64, step % 2**64, c + 1])
+    return np.random.Generator(np.random.SFC64(entropy))
 
 
-def test_column_c_is_its_own_philox_stream():
-    seed, n = 20240613, 37
-    for ctx, step, width in ((0, 0, 1), (0, 9, 3), (1, 0, 5), (0, 2**40, 2)):
+def test_column_c_is_its_own_address_seeded_stream():
+    n = 37
+    for seed, ctx, step, width in ((20240613, 0, 0, 1), (20240613, 0, 9, 3),
+                                   (20240613, 1, 0, 5), (20240613, 0, 2**40, 2),
+                                   (-7, 0, 4, 2), (2**63 + 5, 1, 3, 1)):
         uniforms = RngStream(seed).uniform_rows(step, n, width, context=ctx)
         normals = RngStream(seed).normal_rows(step, n, width, context=ctx)
         assert uniforms.shape == normals.shape == (n, width)
@@ -42,6 +45,28 @@ def test_narrow_blocks_are_prefixes_and_column_blocks_are_slices(n, width, extra
     assert np.array_equal(block, draw(step, n, column + width)[:, column:])
 
 
+@pytest.mark.parametrize("neighbour", ["step", "column", "context", "seed"])
+def test_neighbouring_addresses_give_independent_normals(neighbour):
+    # SeedSequence hashes nearby addresses apart: the column one step, one
+    # column, one context or one seed away is uncorrelated with this one,
+    # and both have the moments of N(0, 1), each within 5 standard errors
+    n, seed, ctx, step, c = 100_000, 12, 0, 40, 1
+    base = RngStream(seed).normal_rows(step, n, 1, context=ctx, column=c)[:, 0]
+    if neighbour == "step":
+        other = RngStream(seed).normal_rows(step + 1, n, 1, context=ctx, column=c)
+    elif neighbour == "column":
+        other = RngStream(seed).normal_rows(step, n, 1, context=ctx, column=c + 1)
+    elif neighbour == "context":
+        other = RngStream(seed).normal_rows(step, n, 1, context=ctx + 1, column=c)
+    else:
+        other = RngStream(seed + 1).normal_rows(step, n, 1, context=ctx, column=c)
+    other = other[:, 0]
+    assert abs(np.corrcoef(base, other)[0, 1]) < 5.0 / np.sqrt(n)
+    for z in (base, other):
+        assert abs(z.mean()) < 5.0 / np.sqrt(n)
+        assert abs(z.var() - 1.0) < 5.0 * np.sqrt(2.0 / n)
+
+
 def test_manifest_declares_the_layout(tmp_path):
     cfg = parse_config("""\
 problem: double_well
@@ -55,5 +80,5 @@ outputs:
   - {kind: samples, path: s.csv}
 """)
     run_experiment(cfg, out_root=tmp_path)
-    assert RNG_LAYOUT == 3
-    assert json.loads((tmp_path / "manifest.json").read_text())["rng_layout"] == 3
+    assert RNG_LAYOUT == 4
+    assert json.loads((tmp_path / "manifest.json").read_text())["rng_layout"] == 4
