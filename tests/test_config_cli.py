@@ -937,13 +937,14 @@ def test_cli_endpoint_near_checks_every_start(tmp_path, capsys, second, code, me
     assert capsys.readouterr().err == message
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3, 4])
-def test_cli_metric_monotone_fails_when_tv_rises(tmp_path, capsys, seed):
+def test_cli_metric_monotone_fails_when_tv_rises(tmp_path, capsys):
     # ULA at tau = 1 on V = theta^2/2 maps theta to sqrt(2) xi, so particles
     # drawn from pi = N(0, 1) have its biased law N(0, 2) after one step:
     # the TV to pi rises from sampling noise (about 0.04) to about 0.17
-    cfg_path = tmp_path / "exp.yaml"
-    cfg_path.write_text(f"""\
+    # whatever the seed
+    for seed in (1, 2, 3, 4):
+        cfg_path = tmp_path / f"exp{seed}.yaml"
+        cfg_path.write_text(f"""\
 problem: quadratic:0.5
 method: ula
 tau: 1.0
@@ -957,8 +958,9 @@ outputs:
 assertions:
   - {{check: metric_monotone, metric: tv}}
 """)
-    assert main(["run", str(cfg_path), "--out-root", str(tmp_path)]) == 4
-    assert capsys.readouterr().err.startswith("assertion failed: tv increased from ")
+        out_root = tmp_path / f"seed{seed}"
+        assert main(["run", str(cfg_path), "--out-root", str(out_root)]) == 4
+        assert capsys.readouterr().err.startswith("assertion failed: tv increased from ")
 
 
 def test_cli_seed_override_changes_output(tmp_path):

@@ -45,22 +45,17 @@ def test_narrow_blocks_are_prefixes_and_column_blocks_are_slices(n, width, extra
     assert np.array_equal(block, draw(step, n, column + width)[:, column:])
 
 
-@pytest.mark.parametrize("neighbour", ["step", "column", "context", "seed"])
-def test_neighbouring_addresses_give_independent_normals(neighbour):
+@pytest.mark.parametrize("d_seed, d_ctx, d_step, d_col",
+                         [(0, 0, 1, 0), (0, 0, 0, 1), (0, 1, 0, 0), (1, 0, 0, 0)],
+                         ids=["step", "column", "context", "seed"])
+def test_neighbouring_addresses_give_independent_normals(d_seed, d_ctx, d_step, d_col):
     # SeedSequence hashes nearby addresses apart: the column one step, one
     # column, one context or one seed away is uncorrelated with this one,
     # and both have the moments of N(0, 1), each within 5 standard errors
     n, seed, ctx, step, c = 100_000, 12, 0, 40, 1
     base = RngStream(seed).normal_rows(step, n, 1, context=ctx, column=c)[:, 0]
-    if neighbour == "step":
-        other = RngStream(seed).normal_rows(step + 1, n, 1, context=ctx, column=c)
-    elif neighbour == "column":
-        other = RngStream(seed).normal_rows(step, n, 1, context=ctx, column=c + 1)
-    elif neighbour == "context":
-        other = RngStream(seed).normal_rows(step, n, 1, context=ctx + 1, column=c)
-    else:
-        other = RngStream(seed + 1).normal_rows(step, n, 1, context=ctx, column=c)
-    other = other[:, 0]
+    other = RngStream(seed + d_seed).normal_rows(step + d_step, n, 1, context=ctx + d_ctx,
+                                                  column=c + d_col)[:, 0]
     assert abs(np.corrcoef(base, other)[0, 1]) < 5.0 / np.sqrt(n)
     for z in (base, other):
         assert abs(z.mean()) < 5.0 / np.sqrt(n)

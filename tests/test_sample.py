@@ -36,9 +36,10 @@ def test_ula_pure_diffusion_arithmetic():
 
 
 def test_ula_step_is_the_plain_expression_bit_for_bit():
-    # every pairing of signed zeros, normal and subnormal-scale values in
-    # theta, the gradient and the noise; the gradient is one cached array,
-    # as a potential may hand back, and no input array is written
+    # every pairing of signed zeros, a normal value and a tiny one (whose
+    # products underflow to signed zeros) in theta, the gradient and the
+    # noise; the gradient is one cached array, as a potential may hand
+    # back, and no input array is written
     values = np.array([0.0, -0.0, 1.5, -2.25e-300])
     theta, cached, noise = (a.reshape(-1, 1).copy()
                             for a in np.meshgrid(values, values, values, indexing="ij"))
