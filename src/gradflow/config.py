@@ -8,8 +8,8 @@ field's), each nested mapping is one record, and ``_FAMILIES`` says what
 each method family takes.  Parsing builds the problem's potential and
 refuses everything a run would otherwise find only after its work, such
 as two files at one path (the manifest among them).  A parsed config's
-``horizon()``, ``metric_times()`` and ``files()`` are the run's time and
-file plan.  ``serialize_config`` emits a canonical form that reparses to
+``potential``, ``horizon()``, ``metric_times()`` and ``files()`` are the
+run's plan.  ``serialize_config`` emits a canonical form that reparses to
 an equal config.
 """
 
@@ -18,14 +18,14 @@ from __future__ import annotations
 import math
 import os
 import re
-from dataclasses import MISSING, dataclass, field as dc_field, fields
+from dataclasses import MISSING, dataclass, field as dc_field, fields, replace
 from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 import yaml
 
 from .errors import ConfigError
-from .potentials import from_identifier
+from .potentials import Potential, from_identifier
 
 __all__ = [
     "ExperimentConfig",
@@ -97,6 +97,7 @@ class ExperimentConfig:
     outputs: List[OutputSpec] = dc_field(default_factory=list)
     assertions: List[AssertionSpec] = dc_field(default_factory=list)
     manifest: str = "manifest.json"
+    potential: Optional[Potential] = dc_field(default=None, compare=False, repr=False)
 
     @property
     def family(self) -> str:
@@ -104,9 +105,11 @@ class ExperimentConfig:
                     if self.method in family.methods)
 
     def n_steps(self) -> int:
-        if self.steps is not None:
-            return self.steps
-        return max(0, int(round(self.time / self.tau)))
+        return self.steps if self.steps is not None else max(0, self.step_at(self.time))
+
+    def step_at(self, t: float) -> int:
+        """The step whose state a sampler reports at time ``t``."""
+        return int(round(t / self.tau))
 
     def horizon(self) -> float:
         """The time the run ends at: whole steps for a sampler, the
@@ -128,7 +131,7 @@ class ExperimentConfig:
         if self.family == "grid":
             times.add(horizon)
         if self.family == "stochastic":
-            times = {round(t / self.tau): t for t in sorted(times, reverse=True)}.values()
+            times = {self.step_at(t): t for t in sorted(times, reverse=True)}.values()
         return sorted(times)
 
     def files(self) -> List[Tuple[OutputSpec, str, object]]:
@@ -325,6 +328,7 @@ _KEYS = (
                   "manifest": _typed(str), "bandwidth": _bandwidth,
                   "grid": None, "init": None, "outputs": None, "assertions": None}),
 )
+_READERS = {key: read for _, keys in _KEYS for key, read in keys.items()}
 
 # the nested mappings, each a record (readers, needs, message) for _record
 _GRID = {"lo": _typed(float), "hi": _typed(float), "n": _typed(int, 2)}
@@ -379,9 +383,9 @@ def _variant(items: dict, line: int, errors, what: str, key: str, variants: dict
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate; raises ConfigError listing every violation.
 
-    The problem's potential is built to check the config against its
-    dimension; an identifier that no potential accepts raises the
-    potential's ValueError, once the config has no other errors.
+    The problem's potential is built to check the config against, and
+    kept as its ``potential``; an identifier that no potential accepts
+    raises the potential's ValueError, once the config has no other errors.
     """
     errors: List[str] = []
     try:
@@ -394,7 +398,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if errors:
         raise ConfigError(errors)
 
-    _unknown_keys(items, [key for _, keys in _KEYS for key in keys], "key", errors)
+    _unknown_keys(items, _READERS, "key", errors)
     values = {}
     for rule, keys in _KEYS:
         values.update((key, _read(items, key, read, errors)) for key, read in keys.items())
@@ -426,7 +430,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
     tau, dt = values.pop("tau"), values.pop("dt")
     cfg = ExperimentConfig(problem=values.pop("problem"), method=values.pop("method"),
-                           tau=dt if tau is None else tau,
+                           tau=dt if tau is None else tau, potential=potential,
                            **{key: val for key, val in values.items() if val is not None})
     if cfg.method is not None:
         errors.extend(_family_errors(cfg, items, potential, outputs, assertions))
@@ -435,6 +439,21 @@ def parse_config(text: str) -> ExperimentConfig:
     if problem_error is not None:
         raise problem_error
     return cfg
+
+
+def with_overrides(cfg: ExperimentConfig, seed=None, workers=None) -> ExperimentConfig:
+    """``cfg`` with a run's seed and worker count (None keeps the config's),
+    each read by its key's reader as parsing reads it; raises ConfigError
+    listing each value that reader refuses."""
+    errors, values = [], {}
+    for key, value in (("seed", seed), ("workers", workers)):
+        try:
+            values[key] = getattr(cfg, key) if value is None else _READERS[key](value)
+        except _Invalid as why:
+            errors.append(f"override: {key} {why}")
+    if errors:
+        raise ConfigError(errors)
+    return replace(cfg, **values)
 
 
 def _indefinite_starts(potential, init):
@@ -544,8 +563,8 @@ def _time_error(cfg, t):
     relative 1e-9)."""
     horizon = cfg.horizon()
     if cfg.family == "stochastic":
-        k = t / cfg.tau
-        if abs(k - round(k)) > 1e-9 * max(1.0, abs(k)) or not 0 <= round(k) <= cfg.n_steps():
+        k, step = t / cfg.tau, cfg.step_at(t)
+        if abs(k - step) > 1e-9 * max(1.0, abs(k)) or not 0 <= step <= cfg.n_steps():
             return (f"time {t:g} must be a whole number of tau={cfg.tau:g} steps "
                     f"in 0..{horizon:g}")
     elif not 0.0 <= t <= horizon * (1.0 + 1e-9):
@@ -647,13 +666,15 @@ def _parse_assertion(node, errors, dim):
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    """Canonical plain mapping: each field in declaration order, but one
-    that is None or at its default; thin and workers are always echoed."""
+    """Canonical plain mapping: each compared field (not the potential) in
+    declaration order, but one that is None or at its default; thin and
+    workers are always echoed."""
     out = {}
     for f in fields(cfg):
         val = getattr(cfg, f.name)
         default = f.default if f.default_factory is MISSING else f.default_factory()
-        if val is not None and (val != default or f.name in ("thin", "workers")):
+        if f.compare and val is not None and (val != default
+                                              or f.name in ("thin", "workers")):
             out[f.name] = val
     if "outputs" in out:
         out["outputs"] = [

@@ -40,7 +40,6 @@ __all__ = [
     "bfgs_stepper",
     "quadratic_mirror_map",
     "negative_entropy_mirror_map",
-    "invert_gradient_newton",
 ]
 
 GRAD_STOP = 1e-12  # flows terminate once the gradient norm falls below this
@@ -175,17 +174,6 @@ def _damped_newton(residual, jacobian, x0, tol: float, iters: int):
         else:
             return x, False
     return x, bool(np.linalg.norm(res) <= tol)
-
-
-def invert_gradient_newton(h_grad, h_hessian, z, x0, tol: float = 1e-10,
-                           max_iter: int = 100) -> np.ndarray:
-    """Solve grad h(x) = z by damped Newton, for maps without a closed inverse."""
-    z = np.asarray(z, dtype=float)
-    x, converged = _damped_newton(lambda x: h_grad(x) - z, h_hessian, x0, tol, max_iter)
-    if not converged:
-        raise ConvergenceError("gradient-map inversion did not reach tolerance",
-                               best=x, residual=float(np.linalg.norm(h_grad(x) - z)))
-    return x
 
 
 def explicit_euler_step(p: Potential, theta, tau: float) -> np.ndarray:

@@ -3,11 +3,11 @@
 One process runs one experiment.  All randomness flows through the seeded
 address-seeded stream, so rerunning a config reproduces every data
 artifact byte for byte; only the manifest's wall time differs.  The
-config is taken as ``parse_config`` accepted it, and the checks made
-there are not repeated here: its time plan (``horizon()``,
-``metric_times()``) says when each family reports, and the run writes
-exactly its file plan ``files()``, in that order.  A sampler config is
-one ``run_sampler`` call that records the states at every output time.
+config is taken as ``parse_config`` accepted it, and nothing decided
+there is re-derived here: the run uses its ``potential``, its time plan
+(``metric_times()``, ``step_at()``) says when each family reports, and
+it writes exactly its file plan ``files()``, in that order.  A sampler
+config is one ``run_sampler`` call that records every output time's step.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from . import __version__
 from .artifacts import (read_density_csv, read_samples_csv, write_chain_stats,
                         write_decay_report, write_density_csv, write_metrics_csv,
                         write_rates_report, write_samples_csv, write_trajectory_csv)
-from .config import ExperimentConfig, config_to_dict
+from .config import ExperimentConfig, config_to_dict, with_overrides
 from .density import (Grid1D, GridDensity, gibbs_density, histogram, kl_divergence,
                       l2_pi_inv_norm, normalize, tv_distance)
 from .errors import ConfigError, GradflowError
@@ -32,6 +32,7 @@ from .optimize import (PreconditionerField, bfgs_stepper, gradient_stepper,
                        implicit_stepper, mirror_stepper, negative_entropy_mirror_map,
                        preconditioned_stepper, quadratic_mirror_map, run_flow,
                        verify_rates)
+# from_identifier is bound here only for perfbench/tracer.py, which traces it by this name
 from .potentials import from_identifier
 from .rng import RNG_LAYOUT, RngStream
 from .sample import Ensemble, SampleRun, run_sampler
@@ -50,22 +51,17 @@ def _resolve(path: str, out_root: Path) -> Path:
 
 def run_experiment(cfg: ExperimentConfig, out_root=None, seed_override=None,
                    workers_override=None) -> dict:
-    """Execute one experiment and write its declared artifacts.
+    """Run a config as ``parse_config`` returned it; write its declared artifacts.
 
     Returns the manifest mapping (also written to the configured manifest
-    path).  Raises ConfigError, before any work, when two of the files it
-    would write resolve to one file under ``out_root``; AssertionFailure
-    when a declared assertion fails; and GradflowError subclasses for
-    runtime problems.
+    path).  Raises ConfigError, before any work, for an override that its
+    key refuses or two files that resolve to one under ``out_root``;
+    AssertionFailure when a declared assertion fails; and GradflowError
+    subclasses for runtime problems.
     """
     started = _time.perf_counter()
-    if out_root is None:
-        out_root = Path(os.environ.get("GRADFLOW_OUT", "."))
-    out_root = Path(out_root)
-    if seed_override is not None:
-        cfg = ExperimentConfig(**{**cfg.__dict__, "seed": int(seed_override)})
-    if workers_override is not None:
-        cfg = ExperimentConfig(**{**cfg.__dict__, "workers": int(workers_override)})
+    out_root = Path(os.environ.get("GRADFLOW_OUT", ".") if out_root is None else out_root)
+    cfg = with_overrides(cfg, seed=seed_override, workers=workers_override)
 
     files = cfg.files()
     written = {}  # each file the run writes -> the config's paths that name it
@@ -76,11 +72,10 @@ def run_experiment(cfg: ExperimentConfig, out_root=None, seed_override=None,
     if clashes:
         raise ConfigError(clashes)
 
-    potential = from_identifier(cfg.problem)
     run_family = {"deterministic": _run_deterministic, "stochastic": _run_stochastic,
                   "grid": _run_grid}[cfg.family]
     # products: output kind -> (writer, label -> payload)
-    products, endpoints, densities, target = run_family(cfg, potential)
+    products, endpoints, densities, target = run_family(cfg, cfg.potential)
     metrics_rows = [row for t, dens in densities.items()
                     for row in _metric_rows(t, dens, target)]
     products["metrics"] = (write_metrics_csv, lambda _: metrics_rows)
@@ -135,6 +130,13 @@ def _run_deterministic(cfg, potential):
 
 # --- stochastic samplers ------------------------------------------------------
 
+def _gaussian_law(spec):
+    """The mean vector and covariance matrix of a gaussian init."""
+    mean = np.asarray(spec["mean"], dtype=float)
+    return mean, (spec["var"] * np.eye(mean.size) if "var" in spec
+                  else np.asarray(spec["cov"], dtype=float))
+
+
 def _initial_ensemble(cfg) -> Ensemble:
     rng = RngStream(cfg.seed)
     spec = cfg.init
@@ -143,23 +145,12 @@ def _initial_ensemble(cfg) -> Ensemble:
         return Ensemble.at_points(rng, j, spec)
     if spec["kind"] == "points":
         return Ensemble.at_points(rng, j, spec["points"])
-    mean = np.asarray(spec["mean"], dtype=float)
-    cov = (spec["var"] * np.eye(mean.size) if "var" in spec
-           else np.asarray(spec["cov"], dtype=float))
-    return Ensemble.gaussian(rng, j, mean, cov)
-
-
-def _grid_from_cfg(cfg) -> Grid1D:
-    return Grid1D.from_bounds(cfg.grid["lo"], cfg.grid["hi"], cfg.grid["n"])
+    return Ensemble.gaussian(rng, j, *_gaussian_law(spec))
 
 
 def _run_stochastic(cfg, potential):
-    n_steps = cfg.n_steps()
+    n_steps, step = cfg.n_steps(), cfg.step_at
     metric_times = cfg.metric_times()
-
-    def step(t):
-        return int(round(t / cfg.tau))
-
     record = {0, n_steps, *map(step, metric_times)}
     if any(spec.kind == "samples" for spec in cfg.outputs):
         record.update(range(0, n_steps + 1, cfg.thin))
@@ -167,7 +158,7 @@ def _run_stochastic(cfg, potential):
                       record=record, ridge=cfg.ridge, bandwidth=cfg.bandwidth)
     states = dict(zip(run.steps.tolist(), run.states))
 
-    grid = _grid_from_cfg(cfg) if cfg.grid else None
+    grid = Grid1D.from_bounds(**cfg.grid) if cfg.grid else None
     # one histogram per step, shared by the metrics and the histogram outputs
     hists = {step(t): histogram(states[step(t)][:, 0], grid) for t in metric_times}
     target = gibbs_density(potential, grid) if hists else None
@@ -195,17 +186,15 @@ def _metric_rows(t, dens, target):
 # --- grid solves ---------------------------------------------------------------
 
 def _initial_grid_density(cfg, solver: FokkerPlanckSolver1D) -> GridDensity:
-    spec = cfg.init
-    if spec["kind"] == "gibbs":
+    if cfg.init["kind"] == "gibbs":
         return solver.target()
-    mean = np.asarray(spec["mean"], dtype=float).ravel()[0]
-    var = spec["var"] if "var" in spec else np.asarray(spec["cov"], dtype=float).ravel()[0]
+    mean, cov = _gaussian_law(cfg.init)
     x = solver.grid.centers()
-    return normalize(np.exp(-((x - mean) ** 2) / (2.0 * var)), solver.grid)
+    return normalize(np.exp(-((x - mean[0]) ** 2) / (2.0 * cov[0, 0])), solver.grid)
 
 
 def _run_grid(cfg, potential):
-    grid = _grid_from_cfg(cfg)
+    grid = Grid1D.from_bounds(**cfg.grid)
     solver = FokkerPlanckSolver1D(potential, grid)
     state = FpeState(density=_initial_grid_density(cfg, solver), time=0.0, solver=solver)
 

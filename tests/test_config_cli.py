@@ -796,6 +796,53 @@ def test_worker_override_does_not_change_bytes(tmp_path):
             == (tmp_path / "w4/samples.csv").read_bytes())
 
 
+def test_overrides_are_read_as_their_config_keys_are(tmp_path, capsys):
+    # a value the config key refuses is a config error before any file is
+    # written, so every manifest echoes a config that validates
+    cfg_path = tmp_path / "exp.yaml"
+    cfg_path.write_text(TINY_ULA)
+    out = tmp_path / "out"
+    for workers in ("0", "-3"):
+        assert main(["run", str(cfg_path), "--out-root", str(out), "--workers", workers]) == 2
+        assert "config error: override: workers must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+    with pytest.raises(ConfigError, match="override: seed must be an integer"):
+        run_experiment(parse_config(TINY_ULA), out_root=out, seed_override="7")
+    assert not out.exists()
+    assert main(["run", str(cfg_path), "--out-root", str(out), "--seed", "7"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["seed"] == manifest["config"]["seed"] == 7
+
+
+def _count_potential_builds(monkeypatch):
+    """The specs of each ``from_identifier`` call, counted in every gradflow
+    module that binds it."""
+    import sys
+    from gradflow.potentials import from_identifier
+    specs = []
+
+    def counted(spec):
+        specs.append(spec)
+        return from_identifier(spec)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "gradflow" and vars(module).get(
+                "from_identifier") is from_identifier:
+            monkeypatch.setattr(module, "from_identifier", counted)
+    return specs
+
+
+@pytest.mark.parametrize("flags", [[], ["--seed", "7"], ["--workers", "2"]])
+def test_validate_and_run_each_build_the_potential_once(tmp_path, monkeypatch, flags):
+    cfg_path = tmp_path / "exp.yaml"
+    cfg_path.write_text(TINY_ULA)
+    specs = _count_potential_builds(monkeypatch)
+    assert main(["validate", str(cfg_path)]) == 0
+    assert specs == ["quadratic:0.5"]
+    assert main(["run", str(cfg_path), "--out-root", str(tmp_path), *flags]) == 0
+    assert specs == ["quadratic:0.5"] * 2
+
+
 def test_manifest_echo_reproduces_artifacts(tmp_path):
     import yaml
     cfg = parse_config(TINY_ULA)

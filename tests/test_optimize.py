@@ -220,47 +220,50 @@ def test_mirror_map_inverse_consistency():
 
 
 def test_generic_gradient_inversion_by_newton():
-    # custom strictly convex h with grad theta^3: the inverse is cbrt
-    from gradflow.optimize import invert_gradient_newton
-    h_grad = lambda th: th**3
-    h_hess = lambda th: np.diag(3.0 * th**2)
+    # grad h(x) = z for a strictly convex h with grad theta^3: the root is cbrt
+    from gradflow.optimize import _damped_newton
     z = np.array([8.0, 0.027])
-    x = invert_gradient_newton(h_grad, h_hess, z, x0=np.array([1.0, 1.0]))
+    residual = lambda th: th**3 - z
+    jacobian = lambda th: np.diag(3.0 * th**2)
+    x, converged = _damped_newton(residual, jacobian, np.array([1.0, 1.0]), 1e-10, 100)
+    assert converged
     assert np.allclose(x, np.cbrt(z), atol=1e-9)
-    with pytest.raises(ConvergenceError):
-        invert_gradient_newton(h_grad, h_hess, z, x0=np.array([1.0, 1.0]),
-                               max_iter=0)
+    x, converged = _damped_newton(residual, jacobian, np.array([1.0, 1.0]), 1e-10, 0)
+    assert (x.tolist(), converged) == ([1.0, 1.0], False)
 
 
 def test_gradient_inversion_checks_the_residual_after_its_last_step():
     # h = |x|^2: one Newton step solves 2x = z exactly
-    from gradflow.optimize import invert_gradient_newton
-    x = invert_gradient_newton(lambda th: 2.0 * th, lambda th: 2.0 * np.eye(th.size),
-                               np.array([3.0]), x0=np.array([0.0]), max_iter=1)
-    assert x.tolist() == [1.5]
+    from gradflow.optimize import _damped_newton
+    x, converged = _damped_newton(lambda th: 2.0 * th - 3.0,
+                                  lambda th: 2.0 * np.eye(th.size),
+                                  np.array([0.0]), 1e-10, 1)
+    assert (x.tolist(), converged) == ([1.5], True)
 
 
 def test_gradient_inversion_rejects_trials_outside_the_domain():
     # a full Newton step from 10 toward exp(z) = 0.01 lands at -59: its
     # residual raises ValueError, so the step is halved until it stays positive
-    from gradflow.optimize import invert_gradient_newton
+    from gradflow.optimize import _damped_newton
     mmap = negative_entropy_mirror_map()
     with pytest.raises(ValueError):
         mmap.h_grad(np.array([10.0]) - np.log(10.0 / 0.01) * 10.0)
-    x = invert_gradient_newton(mmap.h_grad, lambda th: np.diag(1.0 / th),
-                               np.log([0.01]), x0=np.array([10.0]))
+    x, converged = _damped_newton(lambda th: mmap.h_grad(th) - np.log(0.01),
+                                  lambda th: np.diag(1.0 / th),
+                                  np.array([10.0]), 1e-10, 100)
+    assert converged
     assert x == pytest.approx([0.01], rel=1e-9)
 
 
 def test_damped_newton_stops_at_a_singular_jacobian():
-    from gradflow.optimize import _damped_newton, invert_gradient_newton
+    from gradflow.optimize import _damped_newton
     x, converged = _damped_newton(lambda x: x - 1.0, lambda x: np.zeros((1, 1)),
                                   np.array([3.0]), 1e-10, 10)
     assert (x.tolist(), converged) == ([3.0], False)
-    with pytest.raises(ConvergenceError) as err:
-        invert_gradient_newton(lambda th: th**3, lambda th: np.diag(3.0 * th**2),
-                               np.array([8.0]), x0=np.array([0.0]))
-    assert err.value.best.tolist() == [0.0]
+    # theta^3 = 8 from 0, where the Jacobian 3 theta^2 vanishes
+    x, converged = _damped_newton(lambda th: th**3 - 8.0, lambda th: np.diag(3.0 * th**2),
+                                  np.array([0.0]), 1e-10, 100)
+    assert (x.tolist(), converged) == ([0.0], False)
 
 
 # --- Bregman divergence --------------------------------------------------------------

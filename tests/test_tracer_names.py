@@ -6,8 +6,10 @@ missing benchmark metrics.  The tracer module is loaded read-only: these
 tests check its name tables and never install it.
 """
 
+import dataclasses
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -82,3 +84,33 @@ def test_runs_call_the_traced_steps_by_their_module_names(monkeypatch, tmp_path)
     assert calls["bdl"] == 3
     assert len(calls["fpe"]) == 10
     assert np.all(np.array(calls["fpe"]) > 0.0)
+
+
+def test_a_run_evaluates_the_potential_the_traced_factory_builds(monkeypatch, tmp_path):
+    # the tracer binds its wrapper of the factory in every gradflow module
+    # that binds the factory, and counts the value and grad calls of each
+    # potential the wrapper returns; a run must evaluate that potential
+    module_name, attribute = TRACER.POTENTIAL_FACTORY
+    factory = getattr(importlib.import_module(module_name), attribute)
+    calls = {"value": 0, "grad": 0}
+
+    def counted(fn, key):
+        def call(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    def traced_factory(*args, **kwargs):
+        p = factory(*args, **kwargs)
+        return dataclasses.replace(p, value=counted(p.value, "value"),
+                                   grad=counted(p.grad, "grad"))
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "gradflow" and vars(module).get(attribute) is factory:
+            monkeypatch.setattr(module, attribute, traced_factory)
+    run_experiment(parse_config("problem: quadratic:0.5\nmethod: mala\ntau: 0.1\n"
+                                "steps: 5\nseed: 3\nparticles: 50\n"
+                                "init: {kind: gaussian, mean: 0.0, var: 1.0}\n"
+                                "outputs:\n  - {kind: stats, path: stats.txt}\n"),
+                   out_root=tmp_path)
+    assert calls["value"] > 0 and calls["grad"] > 0
