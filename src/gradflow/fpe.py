@@ -6,12 +6,15 @@ weighting built from the exact potential differences between neighboring
 cells, so the discretized Gibbs state is stationary to rounding — which is
 what makes the decay-theorem checks sharp.  Three variants share the flux
 kernel: unit mobility, mobility equal to the current variance, and a
-Strang-split reaction term that exchanges mass toward the target.
+Strang-split reaction term that exchanges mass toward the target.  A step
+maps an ``FpeState``'s cell values to new ones; the state checks them as
+a ``GridDensity`` would and builds that density only when it is read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -82,16 +85,22 @@ class FokkerPlanckSolver1D:
         if dt > dt_max * (1.0 + 1e-12):
             raise StabilityError(dt, dt_max)
         dx = self.grid.dx
-        # In place on one buffer, in the order of (dt/dx) * (-mobility *
-        # (b_minus*v[1:] - b_plus*v[:-1]) / dx); tests pin the bits to that.
+        # In place on one buffer.  Tests pin the bits to the reference flux
+        # (dt/dx) * (-mobility * (b_minus*v[1:] - b_plus*v[:-1]) / dx),
+        # subtracted from the left cell and added to the right.  This is its
+        # negation g, added on the left and subtracted on the right, with the
+        # same bits: x*(-m) == -(x*m), a negation passes through / and *
+        # exactly, and v - (-g) == v + g.  Unit mobility skips its multiply,
+        # since x*1.0 == x.
         flux = self._b_minus * values[1:]
         flux -= self._b_plus * values[:-1]
-        flux *= -mobility
+        if mobility != 1.0:
+            flux *= mobility
         flux /= dx
         flux *= dt / dx
         out = values.copy()
-        out[:-1] -= flux
-        out[1:] += flux
+        out[:-1] += flux
+        out[1:] -= flux
         return out
 
     def reaction_half_step(self, values: np.ndarray, dt_half: float) -> np.ndarray:
@@ -118,35 +127,52 @@ class FokkerPlanckSolver1D:
 
 @dataclass(frozen=True)
 class FpeState:
-    """Density and clock of one grid solve, with the solver that steps it.
+    """Cell values and clock of one grid solve, with the solver that steps it.
 
-    States compare by density and time; every state of a solve carries
-    the same solver, and its potential is ``solver.potential``.
+    The values are checked as a ``GridDensity`` checks them, at the grid's
+    length and nonnegative, but the density itself is built only when
+    ``density`` is read, so stepping builds no ``GridDensity``.  States
+    compare by time and values; every state of a solve carries the same
+    solver, whose ``grid`` the values live on and whose ``potential`` it
+    solves for.
     """
 
-    density: GridDensity
+    values: np.ndarray
     time: float
-    solver: FokkerPlanckSolver1D = field(compare=False)
+    solver: FokkerPlanckSolver1D
+
+    def __post_init__(self):
+        if self.values.shape != (self.solver.grid.n,):
+            raise ValueError("values length must match grid size")
+        if self.values.min() < 0:  # NaN passes, as in GridDensity
+            raise ValueError("density values must be nonnegative")
+
+    def __eq__(self, other):
+        if not isinstance(other, FpeState):
+            return NotImplemented
+        return self.time == other.time and np.array_equal(self.values, other.values)
+
+    @cached_property
+    def density(self) -> GridDensity:
+        return GridDensity(grid=self.solver.grid, values=self.values)
 
     @classmethod
     def initial(cls, potential: Potential, density: GridDensity) -> "FpeState":
         solver = FokkerPlanckSolver1D(potential, density.grid)
-        return cls(density=density, time=0.0, solver=solver)
+        return cls(values=density.values, time=0.0, solver=solver)
 
     def boundary_mass(self) -> float:
         """Mass in the outermost cells; a monitor for domain-truncation error."""
-        v = self.density.values
-        return float((v[0] + v[-1]) * self.density.grid.dx)
+        return float((self.values[0] + self.values[-1]) * self.solver.grid.dx)
 
 
 def _advance(state: FpeState, new_values: np.ndarray, dt: float) -> FpeState:
-    return FpeState(density=GridDensity(grid=state.density.grid, values=new_values),
-                    time=state.time + dt, solver=state.solver)
+    return FpeState(values=new_values, time=state.time + dt, solver=state.solver)
 
 
 def fpe_step(state: FpeState, dt: float) -> FpeState:
     """Unit-mobility drift-diffusion step toward the Gibbs target."""
-    return _advance(state, state.solver.drift_diffusion_step(state.density.values, dt), dt)
+    return _advance(state, state.solver.drift_diffusion_step(state.values, dt), dt)
 
 
 def weighted_fpe_step(state: FpeState, dt: float,
@@ -160,14 +186,14 @@ def weighted_fpe_step(state: FpeState, dt: float,
     var = state.density.variance() if variance is None else variance
     if var < 1e-12:
         raise ValueError(f"density has collapsed (variance {var:.3e}); mobility undefined")
-    values = state.solver.drift_diffusion_step(state.density.values, dt, mobility=var)
+    values = state.solver.drift_diffusion_step(state.values, dt, mobility=var)
     return _advance(state, values, dt)
 
 
 def bdl_fpe_step(state: FpeState, dt: float) -> FpeState:
     """Strang splitting: half reaction, full drift-diffusion, half reaction."""
     solver = state.solver
-    values = solver.reaction_half_step(state.density.values, 0.5 * dt)
+    values = solver.reaction_half_step(state.values, 0.5 * dt)
     values = solver.drift_diffusion_step(values, dt)
     values = solver.reaction_half_step(values, 0.5 * dt)
     return _advance(state, values, dt)

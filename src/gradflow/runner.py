@@ -54,12 +54,16 @@ def run_experiment(cfg: ExperimentConfig, out_root=None, seed_override=None,
     """Run a config as ``parse_config`` returned it; write its declared artifacts.
 
     Returns the manifest mapping (also written to the configured manifest
-    path).  Raises ConfigError, before any work, for an override that its
-    key refuses or two files that resolve to one under ``out_root``;
+    path).  Raises ConfigError, before any work, for a config without the
+    potential ``parse_config`` builds, an override that its key refuses or
+    two files that resolve to one under ``out_root``;
     AssertionFailure when a declared assertion fails; and GradflowError
     subclasses for runtime problems.
     """
     started = _time.perf_counter()
+    if cfg.potential is None:
+        raise ConfigError(["the config has no potential: run a config as parse_config "
+                           "returns it, which builds its problem's potential"])
     out_root = Path(os.environ.get("GRADFLOW_OUT", ".") if out_root is None else out_root)
     cfg = with_overrides(cfg, seed=seed_override, workers=workers_override)
 
@@ -196,7 +200,8 @@ def _initial_grid_density(cfg, solver: FokkerPlanckSolver1D) -> GridDensity:
 def _run_grid(cfg, potential):
     grid = Grid1D.from_bounds(**cfg.grid)
     solver = FokkerPlanckSolver1D(potential, grid)
-    state = FpeState(density=_initial_grid_density(cfg, solver), time=0.0, solver=solver)
+    state = FpeState(values=_initial_grid_density(cfg, solver).values, time=0.0,
+                     solver=solver)
 
     step_fn = {"fpe": fpe_step, "fpe_weighted": weighted_fpe_step,
                "fpe_bdl": bdl_fpe_step}[cfg.method]

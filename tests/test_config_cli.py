@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from gradflow.cli import main
 from gradflow.config import (DETERMINISTIC_METHODS, GRID_METHODS, STOCHASTIC_METHODS,
-                             config_to_dict, parse_config, serialize_config)
+                             ExperimentConfig, config_to_dict, parse_config,
+                             serialize_config)
 from gradflow.density import wasserstein1d
 from gradflow.errors import ConfigError
 from gradflow.runner import AssertionFailure, compare_files, run_experiment
@@ -680,6 +681,15 @@ def test_paths_that_resolve_to_one_file_are_refused_before_any_work(tmp_path, ca
     assert (f"config error: paths '{tmp_path / 'm.csv'}' and 'm.csv' name one file, "
             f"{(tmp_path / 'm.csv').resolve()}") in err, err
     assert not (tmp_path / "m.csv").exists() and not (tmp_path / "h.csv").exists()
+
+
+def test_a_config_built_by_hand_is_refused_before_any_work(tmp_path):
+    # only parse_config builds the potential a run uses
+    cfg = ExperimentConfig(problem="double_well", method="gd", tau=0.05, steps=3,
+                           init=[[0.5]])
+    with pytest.raises(ConfigError, match="parse_config"):
+        run_experiment(cfg, out_root=tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_time_plan_of_each_family():

@@ -131,9 +131,26 @@ def test_grid_density_and_fpe_state_compare_by_value():
     s0 = FpeState.initial(OU, a)
     s1 = fpe_step(s0, 0.5 * s0.solver.max_stable_dt())
     assert s1 != s0
-    assert s0 == FpeState(density=same, time=0.0, solver=s0.solver)
-    assert s1 == FpeState(density=GridDensity(grid=grid, values=s1.density.values.copy()),
-                          time=s1.time, solver=s0.solver)
+    assert s0 == FpeState(values=same.values, time=0.0, solver=s0.solver)
+    assert s1 == FpeState(values=s1.values.copy(), time=s1.time, solver=s0.solver)
+
+
+def test_fpe_state_refuses_values_a_grid_density_refuses():
+    grid = Grid1D.from_bounds(-4.0, 4.0, 41)
+    solver = FpeState.initial(OU, gaussian_start(grid, 1.0)).solver
+    with pytest.raises(ValueError, match="nonnegative"):
+        FpeState(values=np.full(41, -1e-3), time=0.0, solver=solver)
+    with pytest.raises(ValueError, match="length"):
+        FpeState(values=np.ones(40), time=0.0, solver=solver)
+
+
+def test_a_stepped_state_builds_its_density_once_when_read():
+    grid = Grid1D.from_bounds(-4.0, 4.0, 41)
+    s0 = FpeState.initial(OU, gaussian_start(grid, 1.0))
+    s1 = fpe_step(s0, 0.5 * s0.solver.max_stable_dt())
+    assert "density" not in vars(s1)  # stepping builds no GridDensity
+    assert s1.density == GridDensity(grid=grid, values=s1.values)
+    assert s1.density is s1.density
 
 
 def test_stability_error_names_admissible_dt():

@@ -439,3 +439,15 @@ def test_integrated_autocorr_time_ar1():
     est = integrated_autocorr_time(x[500:])
     assert est == pytest.approx(9.0, rel=0.2)
     assert integrated_autocorr_time(RNG.normal(size=(4000, 50))) == pytest.approx(1.0, abs=0.2)
+
+
+def test_integrated_autocorr_time_is_the_direct_lag_sum():
+    # 1 + 2 sum of the chain-summed lag products, normalized at lag 0 and
+    # cut at the first nonpositive lag; 2n = 74 pads to 75 = 3 * 5^2
+    x = np.cumsum(RNG.normal(size=(37, 3)), axis=0)
+    c = x - x.mean(axis=0)
+    n = len(c)
+    acf = np.array([np.sum(c[:n - lag] * c[lag:]) for lag in range(n)]) / np.sum(c * c)
+    cut = next((lag for lag in range(1, n) if acf[lag] <= 0.0), n)
+    assert integrated_autocorr_time(x) == pytest.approx(1.0 + 2.0 * acf[1:cut].sum(),
+                                                        rel=1e-12)

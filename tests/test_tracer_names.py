@@ -17,6 +17,7 @@ import numpy as np
 import gradflow.runner
 import gradflow.sample
 from gradflow.config import parse_config
+from gradflow.fpe import FokkerPlanckSolver1D
 from gradflow.potentials import make_quadratic
 from gradflow.rng import RngStream
 from gradflow.runner import run_experiment
@@ -61,9 +62,11 @@ def test_potential_factory_resolves():
 
 def test_runs_call_the_traced_steps_by_their_module_names(monkeypatch, tmp_path):
     # a wrapper bound to the traced name sees every step, and the state it
-    # is handed exposes the stability bound the tracer reads
-    calls = {"bdl": 0, "fpe": []}
+    # is handed exposes the stability bound the tracer reads; the kernel is
+    # reached through the class method the tracer wraps
+    calls = {"bdl": 0, "fpe": [], "kernel": 0}
     bdl_step, fpe_step = gradflow.sample.bdl_step, gradflow.runner.fpe_step
+    kernel = FokkerPlanckSolver1D.drift_diffusion_step
 
     def counted_bdl(*args, **kwargs):
         calls["bdl"] += 1
@@ -73,7 +76,12 @@ def test_runs_call_the_traced_steps_by_their_module_names(monkeypatch, tmp_path)
         calls["fpe"].append(state.solver.max_stable_dt())
         return fpe_step(state, dt)
 
+    def counted_kernel(*args, **kwargs):
+        calls["kernel"] += 1
+        return kernel(*args, **kwargs)
+
     monkeypatch.setattr(gradflow.sample, "bdl_step", counted_bdl)
+    monkeypatch.setattr(FokkerPlanckSolver1D, "drift_diffusion_step", counted_kernel)
     monkeypatch.setattr(gradflow.runner, "fpe_step", counted_fpe)
     ens = Ensemble.gaussian(RngStream(2), 20, [0.0], [[1.0]])
     run_sampler("bdl", make_quadratic([0.5]), ens, 0.05, 3)
@@ -83,6 +91,7 @@ def test_runs_call_the_traced_steps_by_their_module_names(monkeypatch, tmp_path)
                    out_root=tmp_path)
     assert calls["bdl"] == 3
     assert len(calls["fpe"]) == 10
+    assert calls["kernel"] == 10  # the fpe.kernel metric: one kernel call a step
     assert np.all(np.array(calls["fpe"]) > 0.0)
 
 
