@@ -24,6 +24,7 @@ from typing import List, NamedTuple, Optional, Tuple
 import numpy as np
 import yaml
 
+from .density import Grid1D, gibbs_density, underflows, vanishes
 from .errors import ConfigError
 from .potentials import Potential, from_identifier
 
@@ -486,6 +487,8 @@ def _family_errors(cfg, items, potential, outputs, assertions):
     if family == "grid" and dim not in (None, 1):
         errors.append(f"line {_line(items['problem'])}: method {method!r} needs a "
                       f"1-D problem; {cfg.problem!r} is {dim}-D")
+    if family == "grid" and dim == 1 and cfg.grid is not None:
+        errors.extend(_grid_target_errors(cfg, _line(items["grid"]), potential, outputs))
     for what, specs, allowed in (
             ("output kind", [(o.kind, line) for o, line in outputs], rules.outputs),
             ("check", [(a.check, line) for a, line in assertions], rules.checks)):
@@ -535,6 +538,25 @@ def _family_errors(cfg, items, potential, outputs, assertions):
     return errors
 
 
+def _grid_target_errors(cfg, line, potential, outputs):
+    """What the Gibbs target on the grid rules out, by the tests the run
+    makes: ``fpe_bdl``'s reaction takes log pi, and a ``rates`` report
+    weights by 1/pi."""
+    pi = gibbs_density(potential, Grid1D.from_bounds(**cfg.grid))
+    errors = []
+    if cfg.method == "fpe_bdl" and underflows(pi):
+        errors.append(f"line {line}: method 'fpe_bdl' needs a target density above "
+                      f"zero in every grid cell; the Gibbs density of {cfg.problem!r} "
+                      "underflows to zero on this grid, so shrink the domain")
+    rates_lines = [str(o_line) for o, o_line in outputs if o.kind == "rates"]
+    if rates_lines and vanishes(pi):
+        errors.append(f"line {line}: output kind 'rates' (line {', '.join(rates_lines)}) "
+                      f"needs a target density that does not vanish on the grid; the "
+                      f"Gibbs density of {cfg.problem!r} vanishes here, so shrink the "
+                      "domain")
+    return errors
+
+
 def _shared_path_errors(cfg, outputs):
     """An error for each output with a file at the manifest's path or at a
     path that an earlier file of ``cfg.files()`` takes, paths compared in
@@ -581,7 +603,14 @@ def _parse_grid(node, errors):
                       f"(missing {', '.join(missing)})")
     elif None not in (grid["lo"], grid["hi"]) and grid["hi"] <= grid["lo"]:
         errors.append(f"line {_line(node)}: grid needs hi > lo")
-    return None if None in grid.values() or grid["hi"] <= grid["lo"] else grid
+    if None in grid.values() or grid["hi"] <= grid["lo"]:
+        return None
+    try:
+        Grid1D.from_bounds(**grid)
+    except ValueError as why:  # (hi - lo) / n underflows to 0 or overflows
+        errors.append(f"line {_line(node)}: grid cell width (hi - lo) / n: {why}")
+        return None
+    return grid
 
 
 def _parse_init(node, errors, dim):

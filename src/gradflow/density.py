@@ -28,6 +28,8 @@ __all__ = [
     "kl_divergence",
     "tv_distance",
     "l2_pi_inv_norm",
+    "vanishes",
+    "underflows",
     "wasserstein1d",
     "moments",
 ]
@@ -44,8 +46,8 @@ class Grid1D:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("grid needs at least 2 cells")
-        if self.dx <= 0:
-            raise ValueError("dx must be positive")
+        if not 0.0 < self.dx < np.inf:
+            raise ValueError("dx must be positive and finite")
 
     @classmethod
     def from_bounds(cls, lo: float, hi: float, n: int) -> "Grid1D":
@@ -228,10 +230,22 @@ def tv_distance(rho: GridDensity, pi: GridDensity) -> float:
     return float(0.5 * np.abs(rho.values - pi.values).sum() * rho.grid.dx)
 
 
+def vanishes(pi: GridDensity) -> bool:
+    """Whether ``pi`` is 1e-300 or less in some cell, too small to weight by
+    1/pi: ``l2_pi_inv_norm`` refuses such a reference."""
+    return bool(np.any(pi.values <= 1e-300))
+
+
+def underflows(pi: GridDensity) -> bool:
+    """Whether ``pi`` is zero in some cell, where log pi is -inf: the grid
+    oracle's reaction step refuses such a target."""
+    return bool(np.any(pi.values == 0.0))
+
+
 def l2_pi_inv_norm(rho: GridDensity, pi: GridDensity) -> float:
     """Weighted norm sqrt(sum (rho - pi)^2 / pi dx); needs pi > 0 on the grid."""
     _check_same_grid(rho, pi)
-    if np.any(pi.values <= 1e-300):
+    if vanishes(pi):
         raise ValueError("reference density vanishes on the grid")
     diff = rho.values - pi.values
     return float(np.sqrt(np.sum(diff**2 / pi.values) * rho.grid.dx))

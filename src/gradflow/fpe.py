@@ -9,17 +9,19 @@ kernel: unit mobility, mobility equal to the current variance, and a
 Strang-split reaction term that exchanges mass toward the target.  A step
 maps an ``FpeState``'s cell values to new ones; the state checks them as
 a ``GridDensity`` would and builds that density only when it is read.
+``evolve`` is the one loop that marches a step to a list of output times.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .density import Grid1D, GridDensity, gibbs_density, kl_divergence, l2_pi_inv_norm
+from .density import (Grid1D, GridDensity, gibbs_density, kl_divergence, l2_pi_inv_norm,
+                      underflows)
 from .errors import StabilityError
 from .potentials import Potential
 
@@ -29,6 +31,7 @@ __all__ = [
     "fpe_step",
     "weighted_fpe_step",
     "bdl_fpe_step",
+    "evolve",
     "decay_report",
     "DecayReport",
 ]
@@ -109,10 +112,11 @@ class FokkerPlanckSolver1D:
 
         Cells below the density floor take no reaction update.
         """
-        pi_vals = self.target().values
-        if np.any(pi_vals == 0.0):
+        pi = self.target()
+        if underflows(pi):
             raise ValueError(
                 "target density underflows to zero on this grid; shrink the domain")
+        pi_vals = pi.values
         out = values.copy()
         active = values >= _DENSITY_FLOOR
         r = np.log(pi_vals[active]) - np.log(values[active])
@@ -156,6 +160,11 @@ class FpeState:
     def density(self) -> GridDensity:
         return GridDensity(grid=self.solver.grid, values=self.values)
 
+    @cached_property
+    def variance(self) -> float:
+        """The density's variance, computed once per state."""
+        return self.density.variance()
+
     @classmethod
     def initial(cls, potential: Potential, density: GridDensity) -> "FpeState":
         solver = FokkerPlanckSolver1D(potential, density.grid)
@@ -175,15 +184,14 @@ def fpe_step(state: FpeState, dt: float) -> FpeState:
     return _advance(state, state.solver.drift_diffusion_step(state.values, dt), dt)
 
 
-def weighted_fpe_step(state: FpeState, dt: float,
-                      variance: Optional[float] = None) -> FpeState:
+def weighted_fpe_step(state: FpeState, dt: float) -> FpeState:
     """Step with mobility equal to the current variance of the density.
 
     The nonlinearity is frozen within the step; with unit variance the step
-    coincides with ``fpe_step``.  ``variance`` is ``state.density.variance()``
-    when the caller has already computed it, and is computed here otherwise.
+    coincides with ``fpe_step``.  It reads ``state.variance``, so a caller
+    that bounded ``dt`` by that variance pays for one pass, not two.
     """
-    var = state.density.variance() if variance is None else variance
+    var = state.variance
     if var < 1e-12:
         raise ValueError(f"density has collapsed (variance {var:.3e}); mobility undefined")
     values = state.solver.drift_diffusion_step(state.values, dt, mobility=var)
@@ -197,6 +205,26 @@ def bdl_fpe_step(state: FpeState, dt: float) -> FpeState:
     values = solver.drift_diffusion_step(values, dt)
     values = solver.reaction_half_step(values, 0.5 * dt)
     return _advance(state, values, dt)
+
+
+def evolve(state: FpeState, step: Callable[[FpeState, float], FpeState],
+           times: Sequence[float], tau: float,
+           mobility: Optional[Callable[[FpeState], float]] = None) -> List[FpeState]:
+    """The states at each of ``times`` (ascending), marching ``step`` from
+    ``state``.
+
+    Each step is ``step(state, dt)`` with dt the least of ``tau``, the
+    solver's stability bound and the time left to the next output time, so
+    each returned state lands on its time to within 1e-12.  The bound is
+    taken at ``mobility(state)``, or at unit mobility when none is given.
+    """
+    out = []
+    for t in times:
+        while state.time < t - 1e-12:
+            m = 1.0 if mobility is None else mobility(state)
+            state = step(state, min(tau, state.solver.max_stable_dt(m), t - state.time))
+        out.append(state)
+    return out
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,8 @@ from .config import ExperimentConfig, config_to_dict, with_overrides
 from .density import (Grid1D, GridDensity, gibbs_density, histogram, kl_divergence,
                       l2_pi_inv_norm, normalize, tv_distance)
 from .errors import ConfigError, GradflowError
-from .fpe import FokkerPlanckSolver1D, FpeState, bdl_fpe_step, decay_report, fpe_step, weighted_fpe_step
+from .fpe import (FokkerPlanckSolver1D, FpeState, bdl_fpe_step, decay_report, evolve,
+                  fpe_step, weighted_fpe_step)
 from .optimize import (PreconditionerField, bfgs_stepper, gradient_stepper,
                        implicit_stepper, mirror_stepper, negative_entropy_mirror_map,
                        preconditioned_stepper, quadratic_mirror_map, run_flow,
@@ -197,28 +198,25 @@ def _initial_grid_density(cfg, solver: FokkerPlanckSolver1D) -> GridDensity:
     return normalize(np.exp(-((x - mean[0]) ** 2) / (2.0 * cov[0, 0])), solver.grid)
 
 
+def _weighted_mobility(state):
+    # floored so that a collapsed density meets the step's own error, not a
+    # division by zero in the bound
+    return max(state.variance, 1e-12)
+
+
 def _run_grid(cfg, potential):
     grid = Grid1D.from_bounds(**cfg.grid)
     solver = FokkerPlanckSolver1D(potential, grid)
     state = FpeState(values=_initial_grid_density(cfg, solver).values, time=0.0,
                      solver=solver)
 
-    step_fn = {"fpe": fpe_step, "fpe_weighted": weighted_fpe_step,
-               "fpe_bdl": bdl_fpe_step}[cfg.method]
-
+    # looked up per run, so that a run steps with whatever these names are bound to
+    step, mobility = {"fpe": (fpe_step, None),
+                      "fpe_weighted": (weighted_fpe_step, _weighted_mobility),
+                      "fpe_bdl": (bdl_fpe_step, None)}[cfg.method]
     out_times = cfg.metric_times()
-
     snapshots = {0.0: state}
-    for t_target in out_times:
-        while state.time < t_target - 1e-12:
-            mobility, extra = 1.0, {}
-            if cfg.method == "fpe_weighted":
-                # one variance pass bounds dt and sets the step's mobility
-                var = state.density.variance()
-                mobility, extra = max(var, 1e-12), {"variance": var}
-            dt = min(cfg.tau, solver.max_stable_dt(mobility), t_target - state.time)
-            state = step_fn(state, dt, **extra)
-        snapshots[t_target] = state
+    snapshots.update(zip(out_times, evolve(state, step, out_times, cfg.tau, mobility)))
 
     target = solver.target()
     # the start, then each output time after it: 0.0 keeps its first place

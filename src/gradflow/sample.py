@@ -310,13 +310,12 @@ def _check_finite(particles: np.ndarray, step: int):
 
 
 def run_sampler(method: str, p: Potential, init: Ensemble, tau: float,
-                n_steps: int, thin: int = 1, ridge: Optional[float] = None,
+                n_steps: int, ridge: Optional[float] = None,
                 bandwidth="auto", record=None) -> SampleRun:
-    """Run a sampler for n_steps from the ensemble ``init``, recording
-    every thin-th state.
+    """Run a sampler for n_steps from the ensemble ``init``.
 
-    ``record``, when given, replaces ``thin``: the step counts in
-    0..n_steps after which the state is recorded.  The initial state is
+    ``record`` holds the step counts in 0..n_steps after which the state
+    is recorded, and None records every step.  The initial state is
     always recorded first and the state after n_steps last, so ``final``
     is the ensemble that ``stats`` describe.  The transition's carry
     starts as None and is threaded from step to step.  What is recorded
@@ -327,11 +326,9 @@ def run_sampler(method: str, p: Potential, init: Ensemble, tau: float,
         raise ValueError(f"unknown sampler method {method!r}")
     if tau <= 0:
         raise ValueError("tau must be positive")
-    if thin < 1:
-        raise ValueError("thin must be >= 1")
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
-    keep = set(range(0, n_steps + 1, thin) if record is None else record)
+    keep = set(range(n_steps + 1) if record is None else record)
     if keep and not 0 <= min(keep) <= max(keep) <= n_steps:
         raise ValueError("record steps must lie in 0..n_steps")
     keep.add(n_steps)

@@ -16,7 +16,7 @@ from gradflow.config import parse_config
 from gradflow.density import (Grid1D, histogram, kl_divergence, normalize,
                               tv_distance)
 from gradflow.fpe import (FokkerPlanckSolver1D, FpeState, bdl_fpe_step,
-                          decay_report, fpe_step, weighted_fpe_step)
+                          decay_report, evolve, fpe_step, weighted_fpe_step)
 from gradflow.optimize import gradient_stepper, run_flow, verify_rates
 from gradflow.potentials import (GaussianSpec, make_double_well,
                                  make_gaussian_mixture, make_gaussian_posterior,
@@ -95,13 +95,13 @@ def test_c04_ula_bias_and_mala_correction():
 
     ula = run_sampler("ula", gauss,
                       Ensemble.gaussian(RngStream(41), j, [0.0], [[biased]]),
-                      tau, 1500, thin=1500)
+                      tau, 1500, record=())
     var_ula = ula.final[:, 0].var(ddof=1)
     se_ula = var_ula * np.sqrt(2.0 / (j - 1))
 
     mala = run_sampler("mala", gauss,
                        Ensemble.gaussian(RngStream(42), j, [0.0], [[1.0]]),
-                       tau, 1500, thin=1500)
+                       tau, 1500, record=())
     var_mala = mala.final[:, 0].var(ddof=1)
     se_mala = var_mala * np.sqrt(2.0 / (j - 1))
 
@@ -153,11 +153,7 @@ def ou_decay_states():
     rho0 = normalize(norm.pdf(grid.centers(), scale=2.0), grid)
     state = FpeState.initial(gauss, rho0)
     dt = stable_dt(gauss, grid, 0.5)
-    states = [state]
-    for t_target in (0.5, 1.0, 2.0, 4.0):
-        while state.time < t_target - 1e-12:
-            state = fpe_step(state, min(dt, t_target - state.time))
-        states.append(state)
+    states = [state] + evolve(state, fpe_step, (0.5, 1.0, 2.0, 4.0), dt)
     pi = FokkerPlanckSolver1D(gauss, grid).target()
     return states, pi, gauss
 
@@ -211,16 +207,14 @@ def test_c09_particle_pde_agreement():
     ens = Ensemble.gaussian(RngStream(77), j, [0.0], [[1.0]])
 
     rho0 = normalize(norm.pdf(grid.centers()), grid)
-    state = FpeState.initial(dw, rho0)
     dt = stable_dt(dw, grid, 0.25)
+    states = evolve(FpeState.initial(dw, rho0), fpe_step, (0.25, 0.5), dt)
 
     tvs = {}
-    for t_target in (0.25, 0.5):
+    for t_target, state in zip((0.25, 0.5), states):
         span = int(round(t_target / tau)) - ens.step
-        run = run_sampler("ula", dw, ens, tau, span, thin=span)
+        run = run_sampler("ula", dw, ens, tau, span, record=())
         ens = Ensemble(particles=run.final, rng=ens.rng, step=ens.step + span)
-        while state.time < t_target - 1e-12:
-            state = fpe_step(state, min(dt, t_target - state.time))
         tvs[t_target] = tv_distance(histogram(ens.particles[:, 0], grid),
                                     state.density)
     worst = max(tvs.values())
@@ -235,7 +229,7 @@ def test_c10_ensemble_preconditioning():
                                         design=[[1.0]], noise_cov=[[1.0]],
                                         data=[2.0])
     ens = Ensemble.gaussian(RngStream(1001), 1000, [0.0], [[1.0]])
-    run = run_sampler("ensemble", pot, ens, 0.005, 20_000, thin=20_000)
+    run = run_sampler("ensemble", pot, ens, 0.005, 20_000, record=())
     final = run.final[:, 0]
     mean_err = abs(final.mean() - post.mean[0])
     var_rel = abs(final.var(ddof=1) - post.covariance[0, 0]) / post.covariance[0, 0]
@@ -246,7 +240,7 @@ def test_c10_ensemble_preconditioning():
     for method, seed in (("ula", 5), ("ensemble", 6)):
         start = Ensemble.gaussian(RngStream(seed), j,
                                   [0.0, 0.0], np.diag([10.0, 0.5]))
-        chain = run_sampler(method, aniso, start, tau, n, thin=1)
+        chain = run_sampler(method, aniso, start, tau, n)
         series = chain.states[2000:]
         iats[method] = [integrated_autocorr_time(series[:, :, ax])
                         for ax in (0, 1)]
@@ -278,15 +272,11 @@ def test_c11_birth_death_on_bimodal(bimodal_target):
     rho0 = normalize(norm.pdf(grid.centers(), loc=-2.0, scale=0.5), grid)
     dt = stable_dt(mix, grid, 5.0)
     out_times = [0.5 * k for k in range(1, 11)]
-    plain = FpeState.initial(mix, rho0)
-    accel = FpeState.initial(mix, rho0)
+    plains = evolve(FpeState.initial(mix, rho0), fpe_step, out_times, dt)
+    accels = evolve(FpeState.initial(mix, rho0), bdl_fpe_step, out_times, dt)
     kl_ok = True
     kl_pairs = {}
-    for t_target in out_times:
-        while plain.time < t_target - 1e-12:
-            step = min(dt, t_target - plain.time)
-            plain = fpe_step(plain, step)
-            accel = bdl_fpe_step(accel, step)
+    for t_target, plain, accel in zip(out_times, plains, accels):
         kl_pairs[t_target] = (kl_divergence(accel.density, pi),
                               kl_divergence(plain.density, pi))
         kl_ok = kl_ok and kl_pairs[t_target][0] <= kl_pairs[t_target][1] + 1e-6
@@ -294,8 +284,8 @@ def test_c11_birth_death_on_bimodal(bimodal_target):
     # particles: mass reaches the unseen mode under the exchange, not under ULA
     j, tau, n = 2000, 0.01, 1000
     start = Ensemble.gaussian(RngStream(404), j, [-2.0], [[0.25]])
-    bdl_run = run_sampler("bdl", mix, start, tau, n, thin=n)
-    ula_run = run_sampler("ula", mix, start, tau, n, thin=n)
+    bdl_run = run_sampler("bdl", mix, start, tau, n, record=())
+    ula_run = run_sampler("ula", mix, start, tau, n, record=())
     right_bdl = float(np.mean(bdl_run.final[:, 0] > 0))
     right_ula = float(np.mean(ula_run.final[:, 0] > 0))
 

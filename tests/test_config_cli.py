@@ -2,13 +2,14 @@
 
 import csv
 import json
+import math
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gradflow.cli import main
 from gradflow.config import (DETERMINISTIC_METHODS, GRID_METHODS, STOCHASTIC_METHODS,
@@ -209,8 +210,15 @@ def _configs(draw):
         doc["particles"] = draw(st.integers(1, 10**6))
         doc["bandwidth"] = draw(st.one_of(st.just("auto"), POSITIVE))
     if family != "deterministic" or draw(st.booleans()):
-        lo, hi = sorted(draw(st.lists(FINITE, min_size=2, max_size=2, unique=True)))
+        if family == "grid":
+            # a grid solve needs its target above 1e-300 (rates, fpe_bdl's
+            # log pi); every 1-D problem's is on this window
+            lo = draw(st.floats(-5.0, 4.0))
+            hi = draw(st.floats(lo + 1e-3, 5.0))
+        else:
+            lo, hi = sorted(draw(st.lists(FINITE, min_size=2, max_size=2, unique=True)))
         doc["grid"] = {"lo": lo, "hi": hi, "n": draw(st.integers(2, 5000))}
+        assume(0.0 < (hi - lo) / doc["grid"]["n"] < math.inf)  # cells of finite width
     if method in ("newton", "bfgs") and draw(st.booleans()):
         doc["ridge"] = draw(st.floats(min_value=0.0, max_value=1e3))
     for key in ("thin", "workers"):
@@ -669,6 +677,43 @@ outputs:
         "two-spellings-of-one-path"])
 def test_what_a_run_would_find_late_is_a_config_error(tmp_path, capsys, text, message):
     _rejected_by_validate_and_run(tmp_path, capsys, text, message)
+
+
+# exp(-V) of V = 50 theta^2 underflows to zero beyond |theta| of about 3.9
+STEEP_GRID = """\
+problem: quadratic:50
+method: fpe
+tau: 0.001
+time: 0.01
+grid: {lo: -8.0, hi: 8.0, n: 401}
+init: {kind: gaussian, mean: 0.0, var: 0.01}
+outputs:
+  - {kind: density, path: 'd_{t}.csv', times: [0.01]}
+  - {kind: rates, path: r.txt}
+"""
+VANISHING_RATES = ("line 5: output kind 'rates' (line 9) needs a target density that "
+                   "does not vanish on the grid; the Gibbs density of 'quadratic:50' "
+                   "vanishes here, so shrink the domain")
+UNDERFLOWING_BDL = ("line 5: method 'fpe_bdl' needs a target density above zero in "
+                    "every grid cell; the Gibbs density of 'quadratic:50' underflows "
+                    "to zero on this grid, so shrink the domain")
+
+
+@pytest.mark.parametrize("method,errors", [
+    ("fpe", [VANISHING_RATES]),
+    ("fpe_bdl", [UNDERFLOWING_BDL, VANISHING_RATES]),
+], ids=["rates", "birth-death"])
+def test_a_target_that_vanishes_on_the_grid_is_refused_before_any_work(
+        tmp_path, capsys, method, errors):
+    # the run would refuse it after its solve: the decay report weights by
+    # 1/pi, and the birth-death reaction takes log pi
+    text = STEEP_GRID.replace("method: fpe", f"method: {method}")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.errors == errors
+    _rejected_by_validate_and_run(tmp_path, capsys, text, errors[0])
+    assert [p.name for p in tmp_path.iterdir()] == ["exp.yaml"]
+    parse_config(text.replace("lo: -8.0, hi: 8.0", "lo: -2.0, hi: 2.0"))
 
 
 def test_paths_that_resolve_to_one_file_are_refused_before_any_work(tmp_path, capsys):

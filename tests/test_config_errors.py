@@ -133,6 +133,13 @@ init: [0.0]
     ("grid-hi-below-lo", FPE.replace("lo: -4.0, hi: 4.0, n: 41", "lo: 1.0, hi: -1.0, n: 1")
      + "init: {kind: gibbs}\n",
      ['line 5: n must be >= 2', 'line 5: grid needs hi > lo']),
+    ("grid-cells-without-width", FPE.replace("lo: -4.0, hi: 4.0", "lo: 0.0, hi: 5.0e-324")
+     + "init: {kind: gibbs}\n",
+     ['line 5: grid cell width (hi - lo) / n: dx must be positive and finite']),
+    ("grid-cells-of-infinite-width", FPE.replace("lo: -4.0, hi: 4.0",
+                                                  "lo: -1.7e308, hi: 1.7e308")
+     + "init: {kind: gibbs}\n",
+     ['line 5: grid cell width (hi - lo) / n: dx must be positive and finite']),
     ("grid-wrong-types", FPE.replace("lo: -4.0, hi: 4.0, n: 41", "lo: a, hi: 1.0, n: 2.5, 7: x")
      + "init: {kind: gibbs}\n",
      ['line 5: keys must be strings',
@@ -333,6 +340,15 @@ init: [0.0]
     ("monotone-at-one-time", FPE + "init: {kind: gaussian, mean: [0.0], var: 1.0}\n"
      "assertions:\n  - {check: metric_monotone, metric: l2pinv}\n",
      ['line 8: metric_monotone needs metrics at 2 or more times; this run has 1']),
+    ("grid-target-underflows", FPE.replace("quadratic:0.5", "quadratic:50").replace(
+        "method: fpe", "method: fpe_bdl") + "init: {kind: gibbs}\noutputs:\n"
+     "  - {kind: rates, path: r.txt}\n",
+     ["line 5: method 'fpe_bdl' needs a target density above zero in every grid cell; "
+      "the Gibbs density of 'quadratic:50' underflows to zero on this grid, so shrink "
+      "the domain",
+      "line 5: output kind 'rates' (line 8) needs a target density that does not "
+      "vanish on the grid; the Gibbs density of 'quadratic:50' vanishes here, so "
+      "shrink the domain"]),
     ("unknown-problem-with-other-errors", GD.replace("double_well", "double_wel")
      + "init: [0.5, 1.0]\nbogus: 1\n",
      ["line 6: unknown key 'bogus'"]),

@@ -11,7 +11,7 @@ from gradflow.density import (Grid1D, GridDensity, kl_divergence, normalize,
                               tv_distance)
 from gradflow.errors import StabilityError
 from gradflow.fpe import (FokkerPlanckSolver1D, FpeState, bdl_fpe_step,
-                          decay_report, fpe_step, weighted_fpe_step)
+                          decay_report, evolve, fpe_step, weighted_fpe_step)
 from gradflow.potentials import (GaussianSpec, Potential, make_double_well,
                                  make_gaussian_mixture, make_quadratic)
 from gradflow.runner import run_experiment
@@ -228,14 +228,19 @@ def test_weighted_run_bytes_match_the_two_pass_loop(tmp_path):
     assert state.time == pytest.approx(0.4)
 
 
-def test_weighted_step_with_a_given_variance_is_the_same_step():
+def test_a_state_computes_its_variance_once_as_its_density_does(monkeypatch):
     grid = Grid1D.from_bounds(-3.0, 3.0, 121)
     state = FpeState.initial(make_double_well(), gaussian_start(grid, 0.5))
-    dt = 0.5 * state.solver.max_stable_dt(state.density.variance())
-    computed = weighted_fpe_step(state, dt)
-    given_var = weighted_fpe_step(state, dt, state.density.variance())
-    assert computed.density.values.tobytes() == given_var.density.values.tobytes()
-    assert computed == given_var
+    assert state.variance.hex() == state.density.variance().hex()
+    passes = []
+    variance = GridDensity.variance
+    monkeypatch.setattr(GridDensity, "variance",
+                        lambda self: passes.append(self) or variance(self))
+    fresh = FpeState(values=state.values, time=0.0, solver=state.solver)
+    # the dt bound and the weighted step read one pass over the density
+    weighted_fpe_step(fresh, 0.5 * fresh.solver.max_stable_dt(fresh.variance))
+    assert fresh.variance == state.variance
+    assert len(passes) == 1 and passes[0] is fresh.density
 
 
 def test_weighted_rejects_collapsed_density():
@@ -407,3 +412,38 @@ def test_gibbs_state_stays_put_for_twenty_steps(step_fn, potential, n, frac):
         mobility = state.density.variance() if step_fn is weighted_fpe_step else 1.0
         state = step_fn(state, frac * state.solver.max_stable_dt(mobility))
     assert tv_distance(state.density, pi) < 1e-10
+
+
+# --- properties: the stepping loop ---------------------------------------------------
+
+def weighted_mobility(state):
+    return max(state.variance, 1e-12)
+
+
+EVOLVED_STEPS = [(fpe_step, None), (weighted_fpe_step, weighted_mobility),
+                 (bdl_fpe_step, None)]
+
+
+@pytest.mark.parametrize("step_fn, mobility", EVOLVED_STEPS,
+                         ids=["plain", "weighted", "birth_death"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data(), n=st.integers(21, 101),
+       potential=st.sampled_from([OU, make_double_well()]),
+       t1=st.floats(1e-4, 0.02), gap=st.floats(0.0, 0.02), tau=st.floats(1e-4, 1e-2))
+def test_evolve_is_chunking_invariant_and_lands_on_its_times(
+        step_fn, mobility, data, n, potential, t1, gap, tau):
+    values = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1e6)),
+                                min_size=n, max_size=n))
+    assume(sum(v > 0.0 for v in values) >= 2)
+    start = FpeState.initial(potential, normalize(values, Grid1D.from_bounds(-4.0, 4.0, n)))
+    t2 = t1 + gap
+    both = evolve(start, step_fn, [t1, t2], tau, mobility)
+    first = evolve(start, step_fn, [t1], tau, mobility)
+    then = evolve(first[-1], step_fn, [t2], tau, mobility)
+    for got, want in zip(both, first + then):
+        assert got.time == want.time
+        assert got.values.tobytes() == want.values.tobytes()
+    for state, t in zip(both, (t1, t2)):
+        assert abs(state.time - t) <= 1e-12
+        assert abs(state.density.mass() - 1.0) < 1e-12
+        assert state.values.min() >= 0.0

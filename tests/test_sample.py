@@ -57,7 +57,7 @@ def test_ula_stationary_variance_matches_ar1_fixed_point():
     tau = 0.5
     j = 20000
     ens = Ensemble.gaussian(RngStream(314), j, [0.0], [[1.0]])
-    run = run_sampler("ula", STD_GAUSSIAN, ens, tau, 400, thin=400)
+    run = run_sampler("ula", STD_GAUSSIAN, ens, tau, 400, record=())
     var = run.final[:, 0].var()
     target = 1.0 / (1.0 - tau / 2.0)
     assert abs(var - target) < 3.0 * target * np.sqrt(2.0 / j)
@@ -156,7 +156,7 @@ def test_mala_removes_ula_bias_small():
     tau = 0.5
     j = 20000
     ens = Ensemble.gaussian(RngStream(2718), j, [0.0], [[1.0]])
-    run = run_sampler("mala", STD_GAUSSIAN, ens, tau, 400, thin=400)
+    run = run_sampler("mala", STD_GAUSSIAN, ens, tau, 400, record=())
     var = run.final[:, 0].var()
     assert abs(var - 1.0) < 3.0 * np.sqrt(2.0 / j)
     assert 0.5 < run.stats.acceptance_rate < 1.0
@@ -205,7 +205,7 @@ def test_ensemble_tracks_gaussian_posterior_loose():
     pot, post = make_gaussian_posterior(GaussianSpec([0.0], [[1.0]]),
                                         design=[[1.0]], noise_cov=[[1.0]], data=[2.0])
     ens = Ensemble.gaussian(RngStream(100), 400, [0.0], [[1.0]])
-    run = run_sampler("ensemble", pot, ens, 0.01, 4000, thin=4000)
+    run = run_sampler("ensemble", pot, ens, 0.01, 4000, record=())
     final = run.final[:, 0]
     assert abs(final.mean() - post.mean[0]) < 0.15
     assert abs(final.var() - post.covariance[0, 0]) / post.covariance[0, 0] < 0.3
@@ -261,9 +261,9 @@ def test_bdl_moves_mass_between_modes():
                                  (0.5, GaussianSpec([2.0], [[0.25]]))])
     left = Ensemble.gaussian(RngStream(8), 300, [-2.0], [[0.25]])
     ens = Ensemble(np.vstack([left.particles[:-1], [[2.0]]]), left.rng)
-    run = run_sampler("bdl", mix, ens, 0.01, 600, thin=600)
+    run = run_sampler("bdl", mix, ens, 0.01, 600, record=())
     right = float(np.mean(run.final[:, 0] > 0))
-    ula = run_sampler("ula", mix, ens, 0.01, 600, thin=600)
+    ula = run_sampler("ula", mix, ens, 0.01, 600, record=())
     right_ula = float(np.mean(ula.final[:, 0] > 0))
     assert right > right_ula + 0.1
 
@@ -321,10 +321,10 @@ def test_run_sampler_zero_steps_returns_initial():
 def test_run_sampler_restart_matches_single_run():
     # stepping 25+15 through a carried ensemble equals one 40-step run
     ens = Ensemble.gaussian(RngStream(91), 12, [0.0], [[1.0]])
-    once = run_sampler("ula", STD_GAUSSIAN, ens, 0.1, 40, thin=40)
-    first = run_sampler("ula", STD_GAUSSIAN, ens, 0.1, 25, thin=25)
+    once = run_sampler("ula", STD_GAUSSIAN, ens, 0.1, 40, record=())
+    first = run_sampler("ula", STD_GAUSSIAN, ens, 0.1, 25, record=())
     carried = Ensemble(particles=first.final, rng=ens.rng, step=25)
-    second = run_sampler("ula", STD_GAUSSIAN, carried, 0.1, 15, thin=15)
+    second = run_sampler("ula", STD_GAUSSIAN, carried, 0.1, 15, record=())
     assert np.array_equal(once.final, second.final)
 
 
@@ -353,7 +353,7 @@ def test_mala_rejects_proposals_whose_log_ratio_is_nan():
 
 def test_run_sampler_thin_and_stats():
     ens = Ensemble.gaussian(RngStream(12), 5, [0.0], [[1.0]])
-    run = run_sampler("ula", STD_GAUSSIAN, ens, 0.1, 10, thin=2)
+    run = run_sampler("ula", STD_GAUSSIAN, ens, 0.1, 10, record=range(0, 11, 2))
     assert len(run.times) == 6
     assert np.allclose(np.diff(run.times), 0.2)
     assert run.stats.n_moves == 50
@@ -367,7 +367,7 @@ def _chained_segments(method, p, ens, tau, record):
     states = {0: ens.particles}
     n_accepted = 0
     for prev, nxt in zip(record[:-1], record[1:]):
-        run = run_sampler(method, p, ens, tau, nxt - prev, thin=nxt - prev)
+        run = run_sampler(method, p, ens, tau, nxt - prev, record=())
         ens = Ensemble(particles=run.final, rng=ens.rng, step=nxt)
         states[nxt] = run.final
         n_accepted += run.stats.n_accepted
@@ -396,8 +396,9 @@ def test_recorded_run_equals_chained_segments(method, n_steps, data):
 def test_stats_are_the_moments_of_the_final_ensemble(method):
     p = make_quadratic([0.5, 4.0])
     ens = Ensemble.gaussian(RngStream(5), 30, [0.5, -0.3], [[1.0, 0.2], [0.2, 0.5]])
-    # thin=5 never records step 12, yet the stats still describe it
-    runs = [run_sampler(method, p, ens, 0.1, 12, thin=thin) for thin in (1, 5, 12)]
+    # recording every 5th step never records step 12, yet the stats still describe it
+    runs = [run_sampler(method, p, ens, 0.1, 12, record=range(0, 13, k))
+            for k in (1, 5, 12)]
     runs.append(run_sampler(method, p, ens, 0.1, 12, record={0, 3, 12}))
     final = runs[0].final
     for run in runs:
@@ -406,9 +407,10 @@ def test_stats_are_the_moments_of_the_final_ensemble(method):
 
 
 def test_final_is_the_state_after_the_last_step():
-    # thin=5 does not divide 12, yet the run still ends on step 12's ensemble
+    # 5 does not divide 12, yet the run still ends on step 12's ensemble
     ens = Ensemble.gaussian(RngStream(5), 30, [0.5, -0.3], [[1.0, 0.2], [0.2, 0.5]])
-    run = run_sampler("ula", make_quadratic([0.5, 4.0]), ens, 0.1, 12, thin=5)
+    run = run_sampler("ula", make_quadratic([0.5, 4.0]), ens, 0.1, 12,
+                      record=range(0, 13, 5))
     assert list(run.steps) == [0, 5, 10, 12]
     assert np.array_equal(run.final.mean(axis=0), run.stats.mean)
 
