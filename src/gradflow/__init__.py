@@ -12,7 +12,8 @@ from .density import (Grid1D, GridDensity, gibbs_density, histogram, kde,
                       kl_divergence, l2_pi_inv_norm, moments, normalize,
                       silverman_bandwidth, tv_distance, wasserstein1d)
 from .fpe import (DecayReport, FokkerPlanckSolver1D, FpeState, bdl_fpe_step,
-                  decay_report, evolve, fpe_step, weighted_fpe_step)
+                  decay_report, evolve, fpe_step, variance_mobility,
+                  weighted_fpe_step)
 from .optimize import (ConvergenceReport, MirrorMap, PreconditionerField,
                        Trajectory, backtracking_line_search, bfgs_update,
                        bregman_divergence, explicit_euler_step,

@@ -20,6 +20,8 @@ from .errors import GridMismatchError
 __all__ = [
     "Grid1D",
     "GridDensity",
+    "check_cell_values",
+    "cell_variance",
     "normalize",
     "gibbs_density",
     "histogram",
@@ -64,6 +66,25 @@ class Grid1D:
         return self.x0 + self.dx * (np.arange(self.n + 1) - 0.5)
 
 
+def check_cell_values(values: np.ndarray, grid: Grid1D) -> None:
+    """Refuse cell values that are not one per cell of ``grid`` or that
+    have a negative entry.  NaN passes, but a negative value beside it does
+    not."""
+    if values.shape != (grid.n,):
+        raise ValueError("values length must match grid size")
+    # min() alone would pass a negative value beside a NaN; it goes first
+    # because it costs half the elementwise test, which then runs only when
+    # the minimum is negative or NaN
+    if not values.min() >= 0 and (values < 0).any():
+        raise ValueError("density values must be nonnegative")
+
+
+def cell_variance(values: np.ndarray, centers: np.ndarray, dx: float) -> float:
+    """Midpoint-rule variance of cell values at ``centers``, spaced ``dx``."""
+    m = float(np.sum(centers * values) * dx)
+    return float(np.sum((centers - m) ** 2 * values) * dx)
+
+
 @dataclass(frozen=True)
 class GridDensity:
     """Nonnegative values per unit length on a grid.
@@ -80,10 +101,7 @@ class GridDensity:
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", vals)
-        if vals.shape != (self.grid.n,):
-            raise ValueError("values length must match grid size")
-        if (vals < 0).any():
-            raise ValueError("density values must be nonnegative")
+        check_cell_values(vals, self.grid)
 
     def __eq__(self, other):
         # the generated __eq__ compares ``values`` inside a tuple, which
@@ -100,9 +118,7 @@ class GridDensity:
         return float(np.sum(self.grid.centers() * self.values) * self.grid.dx)
 
     def variance(self) -> float:
-        x = self.grid.centers()
-        m = self.mean()
-        return float(np.sum((x - m) ** 2 * self.values) * self.grid.dx)
+        return cell_variance(self.values, self.grid.centers(), self.grid.dx)
 
 
 def _check_same_grid(a: GridDensity, b: GridDensity):

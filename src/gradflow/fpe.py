@@ -8,8 +8,9 @@ what makes the decay-theorem checks sharp.  Three variants share the flux
 kernel: unit mobility, mobility equal to the current variance, and a
 Strang-split reaction term that exchanges mass toward the target.  A step
 maps an ``FpeState``'s cell values to new ones; the state checks them as
-a ``GridDensity`` would and builds that density only when it is read.
-``evolve`` is the one loop that marches a step to a list of output times.
+a ``GridDensity`` does and builds that density only when it is read, so no
+step builds one, the weighted step included.  ``evolve`` is the one loop
+that marches a step to a list of output times.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .density import (Grid1D, GridDensity, gibbs_density, kl_divergence, l2_pi_inv_norm,
-                      underflows)
+from .density import (Grid1D, GridDensity, cell_variance, check_cell_values,
+                      gibbs_density, kl_divergence, l2_pi_inv_norm, underflows)
 from .errors import StabilityError
 from .potentials import Potential
 
@@ -30,6 +31,7 @@ __all__ = [
     "FpeState",
     "fpe_step",
     "weighted_fpe_step",
+    "variance_mobility",
     "bdl_fpe_step",
     "evolve",
     "decay_report",
@@ -37,6 +39,7 @@ __all__ = [
 ]
 
 _DENSITY_FLOOR = 1e-300
+_COLLAPSED = 1e-12  # a variance below this leaves the weighted mobility undefined
 
 
 def _bernoulli(w: np.ndarray) -> np.ndarray:
@@ -59,7 +62,8 @@ class FokkerPlanckSolver1D:
             raise ValueError("the grid oracle is 1-D only")
         self.potential = potential
         self.grid = grid
-        x = grid.centers()[:, None]
+        self.centers = grid.centers()
+        x = self.centers[:, None]
         v = np.asarray(potential.value(x), dtype=float)
         dv = np.diff(v)  # face jumps V_{i+1} - V_i
         self._b_plus = _bernoulli(dv)          # weight on the left cell
@@ -135,7 +139,8 @@ class FpeState:
 
     The values are checked as a ``GridDensity`` checks them, at the grid's
     length and nonnegative, but the density itself is built only when
-    ``density`` is read, so stepping builds no ``GridDensity``.  States
+    ``density`` is read, so stepping builds no ``GridDensity``; nor does
+    ``variance``, which reads the solver's cell centers.  States
     compare by time and values; every state of a solve carries the same
     solver, whose ``grid`` the values live on and whose ``potential`` it
     solves for.
@@ -146,10 +151,7 @@ class FpeState:
     solver: FokkerPlanckSolver1D
 
     def __post_init__(self):
-        if self.values.shape != (self.solver.grid.n,):
-            raise ValueError("values length must match grid size")
-        if self.values.min() < 0:  # NaN passes, as in GridDensity
-            raise ValueError("density values must be nonnegative")
+        check_cell_values(self.values, self.solver.grid)
 
     def __eq__(self, other):
         if not isinstance(other, FpeState):
@@ -163,7 +165,7 @@ class FpeState:
     @cached_property
     def variance(self) -> float:
         """The density's variance, computed once per state."""
-        return self.density.variance()
+        return cell_variance(self.values, self.solver.centers, self.solver.grid.dx)
 
     @classmethod
     def initial(cls, potential: Potential, density: GridDensity) -> "FpeState":
@@ -192,10 +194,17 @@ def weighted_fpe_step(state: FpeState, dt: float) -> FpeState:
     that bounded ``dt`` by that variance pays for one pass, not two.
     """
     var = state.variance
-    if var < 1e-12:
+    if var < _COLLAPSED:
         raise ValueError(f"density has collapsed (variance {var:.3e}); mobility undefined")
     values = state.solver.drift_diffusion_step(state.values, dt, mobility=var)
     return _advance(state, values, dt)
+
+
+def variance_mobility(state: FpeState) -> float:
+    """The weighted step's mobility, for its ``dt`` bound: the state's
+    variance, floored at the collapse threshold, so that a collapsed density
+    meets the step's own error and not a division by zero in the bound."""
+    return max(state.variance, _COLLAPSED)
 
 
 def bdl_fpe_step(state: FpeState, dt: float) -> FpeState:
@@ -220,7 +229,7 @@ def evolve(state: FpeState, step: Callable[[FpeState, float], FpeState],
     """
     out = []
     for t in times:
-        while state.time < t - 1e-12:
+        while t - state.time > 1e-12:  # not time < t - 1e-12, which rounds
             m = 1.0 if mobility is None else mobility(state)
             state = step(state, min(tau, state.solver.max_stable_dt(m), t - state.time))
         out.append(state)

@@ -28,7 +28,7 @@ from .density import (Grid1D, GridDensity, gibbs_density, histogram, kl_divergen
                       l2_pi_inv_norm, normalize, tv_distance)
 from .errors import ConfigError, GradflowError
 from .fpe import (FokkerPlanckSolver1D, FpeState, bdl_fpe_step, decay_report, evolve,
-                  fpe_step, weighted_fpe_step)
+                  fpe_step, variance_mobility, weighted_fpe_step)
 from .optimize import (PreconditionerField, bfgs_stepper, gradient_stepper,
                        implicit_stepper, mirror_stepper, negative_entropy_mirror_map,
                        preconditioned_stepper, quadratic_mirror_map, run_flow,
@@ -194,14 +194,8 @@ def _initial_grid_density(cfg, solver: FokkerPlanckSolver1D) -> GridDensity:
     if cfg.init["kind"] == "gibbs":
         return solver.target()
     mean, cov = _gaussian_law(cfg.init)
-    x = solver.grid.centers()
+    x = solver.centers
     return normalize(np.exp(-((x - mean[0]) ** 2) / (2.0 * cov[0, 0])), solver.grid)
-
-
-def _weighted_mobility(state):
-    # floored so that a collapsed density meets the step's own error, not a
-    # division by zero in the bound
-    return max(state.variance, 1e-12)
 
 
 def _run_grid(cfg, potential):
@@ -212,7 +206,7 @@ def _run_grid(cfg, potential):
 
     # looked up per run, so that a run steps with whatever these names are bound to
     step, mobility = {"fpe": (fpe_step, None),
-                      "fpe_weighted": (weighted_fpe_step, _weighted_mobility),
+                      "fpe_weighted": (weighted_fpe_step, variance_mobility),
                       "fpe_bdl": (bdl_fpe_step, None)}[cfg.method]
     out_times = cfg.metric_times()
     snapshots = {0.0: state}
@@ -248,16 +242,26 @@ def _check_assertions(cfg, metrics_rows, endpoint_states):
             want_t, limit = a.params["time"], a.params["max"]
             metric = a.params["metric"]
             value = series[metric][min(series[metric], key=lambda t: abs(t - want_t))]
+            _require_defined(metric, {want_t: value})
             if value > limit:
                 raise AssertionFailure(
                     f"{metric} at t={want_t:g} is {value:.6g} > {limit:g}")
         else:  # metric_monotone
+            _require_defined(a.params["metric"], series[a.params["metric"]])
             values = list(series[a.params["metric"]].values())
             for earlier, later in zip(values[:-1], values[1:]):
                 if later > earlier + 1e-12:
                     raise AssertionFailure(
                         f"{a.params['metric']} increased from {earlier:.6g} "
                         f"to {later:.6g}")
+
+
+def _require_defined(metric, values):
+    # a NaN compares False both ways, so without this check it passes any bound
+    for t, value in values.items():
+        if np.isnan(value):
+            raise AssertionFailure(
+                f"{metric} at t={t:g} is undefined (nan), so the assertion cannot hold")
 
 
 # --- file comparison -------------------------------------------------------------

@@ -11,11 +11,12 @@ import pytest
 import yaml
 from hypothesis import assume, given, settings, strategies as st
 
+from gradflow.artifacts import read_density_csv, write_density_csv
 from gradflow.cli import main
 from gradflow.config import (DETERMINISTIC_METHODS, GRID_METHODS, STOCHASTIC_METHODS,
                              ExperimentConfig, config_to_dict, parse_config,
                              serialize_config)
-from gradflow.density import wasserstein1d
+from gradflow.density import GridDensity, l2_pi_inv_norm, wasserstein1d
 from gradflow.errors import ConfigError
 from gradflow.runner import AssertionFailure, compare_files, run_experiment
 
@@ -728,6 +729,27 @@ def test_paths_that_resolve_to_one_file_are_refused_before_any_work(tmp_path, ca
     assert not (tmp_path / "m.csv").exists() and not (tmp_path / "h.csv").exists()
 
 
+# the target vanishes on this grid, so l2pinv is written as NaN
+STEEP_METRICS = STEEP_GRID.replace(
+    "  - {kind: density, path: 'd_{t}.csv', times: [0.01]}\n  - {kind: rates, path: r.txt}\n",
+    "  - {kind: metrics, path: m.csv, times: [0.005, 0.01]}\n")
+
+
+@pytest.mark.parametrize("assertion,time", [
+    ("{check: metric_max, metric: l2pinv, time: 0.01, max: 1.0e-9}", "0.01"),
+    ("{check: metric_monotone, metric: l2pinv}", "0.005"),
+], ids=["metric_max", "metric_monotone"])
+def test_an_assertion_on_an_undefined_metric_fails(tmp_path, capsys, assertion, time):
+    # NaN compares False both ways, so a bound on it would pass unchecked
+    cfg_path = tmp_path / "exp.yaml"
+    cfg_path.write_text(STEEP_METRICS + f"assertions:\n  - {assertion}\n")
+    assert main(["validate", str(cfg_path)]) == 0
+    assert main(["run", str(cfg_path), "--out-root", str(tmp_path)]) == 4
+    assert (f"assertion failed: l2pinv at t={time} is undefined (nan)"
+            in capsys.readouterr().err)
+    assert "0.01,l2pinv,nan" in (tmp_path / "m.csv").read_text()
+
+
 def test_a_config_built_by_hand_is_refused_before_any_work(tmp_path):
     # only parse_config builds the potential a run uses
     cfg = ExperimentConfig(problem="double_well", method="gd", tau=0.05, steps=3,
@@ -987,6 +1009,19 @@ def test_cli_run_validate_compare(tmp_path, capsys):
 
     assert main(["list-potentials"]) == 0
     assert "double_well" in capsys.readouterr().out
+
+
+def test_cli_compares_density_files_in_l2pinv(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.yaml"
+    cfg_path.write_text(GRID_1D + "outputs:\n  - {kind: density, path: pi.csv}\n")
+    assert main(["run", str(cfg_path), "--out-root", str(tmp_path)]) == 0
+    pi = read_density_csv(tmp_path / "pi.csv")
+    rho = GridDensity(grid=pi.grid, values=np.linspace(1.0, 2.0, pi.grid.n))
+    write_density_csv(tmp_path / "rho.csv", rho)
+    capsys.readouterr()
+    assert main(["compare", str(tmp_path / "rho.csv"), str(tmp_path / "pi.csv"),
+                 "--metric", "l2pinv"]) == 0
+    assert capsys.readouterr().out == f"l2pinv {l2_pi_inv_norm(rho, pi):.17g}\n"
 
 
 LIST_POTENTIALS = """\

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.stats import norm
 
 from gradflow.artifacts import write_density_csv
@@ -10,8 +10,10 @@ from gradflow.config import parse_config
 from gradflow.density import (Grid1D, GridDensity, kl_divergence, normalize,
                               tv_distance)
 from gradflow.errors import StabilityError
+import gradflow.fpe
 from gradflow.fpe import (FokkerPlanckSolver1D, FpeState, bdl_fpe_step,
-                          decay_report, evolve, fpe_step, weighted_fpe_step)
+                          decay_report, evolve, fpe_step, variance_mobility,
+                          weighted_fpe_step)
 from gradflow.potentials import (GaussianSpec, Potential, make_double_well,
                                  make_gaussian_mixture, make_quadratic)
 from gradflow.runner import run_experiment
@@ -140,6 +142,8 @@ def test_fpe_state_refuses_values_a_grid_density_refuses():
     solver = FpeState.initial(OU, gaussian_start(grid, 1.0)).solver
     with pytest.raises(ValueError, match="nonnegative"):
         FpeState(values=np.full(41, -1e-3), time=0.0, solver=solver)
+    with pytest.raises(ValueError, match="nonnegative"):  # one check, NaN or not
+        FpeState(values=np.array([np.nan, -1.0] + [1.0] * 39), time=0.0, solver=solver)
     with pytest.raises(ValueError, match="length"):
         FpeState(values=np.ones(40), time=0.0, solver=solver)
 
@@ -161,6 +165,19 @@ def test_stability_error_names_admissible_dt():
         fpe_step(state, 10.0 * bound)
     assert err.value.dt_max == pytest.approx(bound)
     assert "maximal admissible dt" in str(err.value)
+
+
+def test_a_step_needs_a_positive_dt():
+    solver = FokkerPlanckSolver1D(OU, Grid1D.from_bounds(-3.0, 3.0, 31))
+    values = solver.target().values
+    for dt in (0.0, -1e-3):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            solver.drift_diffusion_step(values, dt)
+
+
+def test_the_solver_refuses_a_2d_potential():
+    with pytest.raises(ValueError, match="1-D only"):
+        FokkerPlanckSolver1D(make_quadratic([0.5, 2.0]), Grid1D.from_bounds(-3.0, 3.0, 31))
 
 
 # --- weighted variant ------------------------------------------------------------------
@@ -232,15 +249,21 @@ def test_a_state_computes_its_variance_once_as_its_density_does(monkeypatch):
     grid = Grid1D.from_bounds(-3.0, 3.0, 121)
     state = FpeState.initial(make_double_well(), gaussian_start(grid, 0.5))
     assert state.variance.hex() == state.density.variance().hex()
-    passes = []
-    variance = GridDensity.variance
-    monkeypatch.setattr(GridDensity, "variance",
-                        lambda self: passes.append(self) or variance(self))
+    passes, built = [], []
+    cell_variance = gradflow.fpe.cell_variance
+    monkeypatch.setattr(gradflow.fpe, "cell_variance",
+                        lambda *args: passes.append(args) or cell_variance(*args))
+    post_init = GridDensity.__post_init__
+    monkeypatch.setattr(GridDensity, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
     fresh = FpeState(values=state.values, time=0.0, solver=state.solver)
-    # the dt bound and the weighted step read one pass over the density
-    weighted_fpe_step(fresh, 0.5 * fresh.solver.max_stable_dt(fresh.variance))
+    # the dt bound and the weighted step read one pass over the cell values
+    # and build no GridDensity
+    moved = weighted_fpe_step(fresh, 0.5 * fresh.solver.max_stable_dt(
+        variance_mobility(fresh)))
     assert fresh.variance == state.variance
-    assert len(passes) == 1 and passes[0] is fresh.density
+    assert len(passes) == 1 and passes[0][0] is fresh.values
+    assert built == [] and "density" not in vars(fresh) and "density" not in vars(moved)
 
 
 def test_weighted_rejects_collapsed_density():
@@ -324,6 +347,12 @@ def test_decay_report_ou_envelopes_hold():
     assert len(report.rows()) == 5
 
 
+def test_decay_report_needs_a_state():
+    pi = FokkerPlanckSolver1D(OU, Grid1D.from_bounds(-3.0, 3.0, 31)).target()
+    with pytest.raises(ValueError, match="at least one state"):
+        decay_report([], pi, alpha=OU.alpha)
+
+
 def test_decay_report_at_target_is_flat_zero():
     grid = Grid1D.from_bounds(-8.0, 8.0, 401)
     solver = FokkerPlanckSolver1D(OU, grid)
@@ -367,7 +396,7 @@ def test_steps_keep_unit_mass_and_nonnegative_values(step_fn, data, n, frac, pot
     grid = Grid1D.from_bounds(-4.0, 4.0, n)
     state = FpeState.initial(potential, normalize(values, grid))
     for _ in range(3):
-        mobility = state.density.variance() if step_fn is weighted_fpe_step else 1.0
+        mobility = variance_mobility(state) if step_fn is weighted_fpe_step else 1.0
         state = step_fn(state, frac * state.solver.max_stable_dt(mobility))
         assert abs(state.density.mass() - 1.0) < 1e-12
         assert np.all(state.density.values >= 0.0)
@@ -409,33 +438,31 @@ def test_gibbs_state_stays_put_for_twenty_steps(step_fn, potential, n, frac):
     pi = solver.target()
     state = FpeState.initial(potential, pi)
     for _ in range(20):
-        mobility = state.density.variance() if step_fn is weighted_fpe_step else 1.0
+        mobility = variance_mobility(state) if step_fn is weighted_fpe_step else 1.0
         state = step_fn(state, frac * state.solver.max_stable_dt(mobility))
     assert tv_distance(state.density, pi) < 1e-10
 
 
 # --- properties: the stepping loop ---------------------------------------------------
 
-def weighted_mobility(state):
-    return max(state.variance, 1e-12)
-
-
-EVOLVED_STEPS = [(fpe_step, None), (weighted_fpe_step, weighted_mobility),
+EVOLVED_STEPS = [(fpe_step, None), (weighted_fpe_step, variance_mobility),
                  (bdl_fpe_step, None)]
 
 
 @pytest.mark.parametrize("step_fn, mobility", EVOLVED_STEPS,
                          ids=["plain", "weighted", "birth_death"])
 @settings(max_examples=10, deadline=None)
-@given(data=st.data(), n=st.integers(21, 101),
+@given(values=st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1e6)),
+                       min_size=21, max_size=101),
        potential=st.sampled_from([OU, make_double_well()]),
        t1=st.floats(1e-4, 0.02), gap=st.floats(0.0, 0.02), tau=st.floats(1e-4, 1e-2))
+# t2 - t1 is 1.0000004e-12, but t1 < t2 - 1e-12 rounds to False
+@example(values=[1.0] * 21, potential=OU, t1=0.0078125, gap=1e-12, tau=0.0078125)
 def test_evolve_is_chunking_invariant_and_lands_on_its_times(
-        step_fn, mobility, data, n, potential, t1, gap, tau):
-    values = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1e6)),
-                                min_size=n, max_size=n))
+        step_fn, mobility, values, potential, t1, gap, tau):
     assume(sum(v > 0.0 for v in values) >= 2)
-    start = FpeState.initial(potential, normalize(values, Grid1D.from_bounds(-4.0, 4.0, n)))
+    grid = Grid1D.from_bounds(-4.0, 4.0, len(values))
+    start = FpeState.initial(potential, normalize(values, grid))
     t2 = t1 + gap
     both = evolve(start, step_fn, [t1, t2], tau, mobility)
     first = evolve(start, step_fn, [t1], tau, mobility)
