@@ -27,6 +27,7 @@ import yaml
 from .density import Grid1D, gibbs_density, underflows, vanishes
 from .errors import ConfigError
 from .potentials import Potential, from_identifier
+from .sample import SINGULAR_EIGENVALUE
 
 __all__ = [
     "ExperimentConfig",
@@ -469,6 +470,14 @@ def _indefinite_starts(potential, init):
             yield i, start
 
 
+def _distinct_starts(init, particles: int) -> int:
+    """How many distinct points a sampler init places ``particles`` on: a
+    list of points or ``kind: points`` cycles through its points, and a
+    gaussian draws each particle apart."""
+    points = init.get("points") if isinstance(init, dict) else init
+    return len({tuple(p) for p in points[:particles]}) if points else particles
+
+
 def _family_errors(cfg, items, potential, outputs, assertions):
     """What the method's family rules out: missing keys, init forms, output
     kinds and checks it does not take, what the potential (if known) lacks,
@@ -504,6 +513,28 @@ def _family_errors(cfg, items, potential, outputs, assertions):
         if dim not in (None, 1):
             errors.extend(f"line {line}: histograms and metrics need a 1-D problem; "
                           f"{cfg.problem!r} is {dim}-D" for line in histogram_lines)
+        if method == "bdl" and cfg.particles == 1:
+            errors.append(f"line {_line(items['particles'])}: method 'bdl' needs at "
+                          "least 2 particles, one to replace another")
+        if method == "ensemble" and cfg.particles and not (cfg.ridge or 0.0) > SINGULAR_EIGENVALUE:
+            # the first step's mobility is the starting covariance, of rank below
+            # the number of distinct starts, plus the ridge; a ridge left out is
+            # 1e-6 trace(cov) / dim, zero only when the particles share one point
+            starts = _distinct_starts(cfg.init, cfg.particles)
+            if cfg.particles == 1:
+                errors.append(f"line {_line(items['particles'])}: method 'ensemble' with 1 "
+                              f"particle needs ridge > {SINGULAR_EIGENVALUE:g}, since its "
+                              "ensemble covariance is zero")
+            elif starts == 1:
+                errors.append(f"line {_line(items['init'])}: method 'ensemble' needs ridge > "
+                              f"{SINGULAR_EIGENVALUE:g} when every particle starts on one "
+                              "point, since their ensemble covariance is zero")
+            elif cfg.ridge is not None and dim is not None and starts <= dim:
+                line = _line(items["particles" if starts == cfg.particles else "init"])
+                errors.append(f"line {line}: method 'ensemble' in {dim}-D needs its particles "
+                              f"to start on more than {dim} points or ridge > "
+                              f"{SINGULAR_EIGENVALUE:g}, since the ensemble covariance of "
+                              f"{starts} starting points is singular")
 
     if family == "deterministic" and potential is not None:
         if method == "newton" and potential.hessian is None:

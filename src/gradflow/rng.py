@@ -16,6 +16,10 @@ Gaussian column is ``standard_normal(n)`` (numpy's ziggurat), so
 particle ``i`` takes the ``i``-th value of its column.  A block of
 columns ``c..c+w-1`` is read whole; a narrower block is a prefix of a
 wider one, and the columns of a block do not depend on where it starts.
+``RngStream.fill_columns`` is the one place that draws them: it fills a
+buffer the caller owns, so a sampler can draw a later step's block into a
+buffer of its own on another thread, and ``uniform_rows`` and
+``normal_rows`` return a fresh block through it.
 """
 
 from __future__ import annotations
@@ -51,25 +55,34 @@ class RngStream:
 
     seed: int
 
+    def fill_columns(self, out: np.ndarray, method: str, step: int, context: int = 0,
+                     column: int = 0) -> None:
+        """Fill the caller's ``(width, n)`` buffer ``out``, row ``c`` with the
+        ``Generator`` draw ``method`` of ``n`` values from stream column
+        ``column + c``: ``"standard_normal"`` for Gaussians, ``"random"``
+        for uniforms in (0, 1).  It reads nothing but ``self``, so calls on
+        other threads into disjoint buffers are safe."""
+        address = [self.seed & _MASK64, context & _MASK64, step & _MASK64]
+        for c in range(out.shape[0]):
+            gen = np.random.Generator(np.random.SFC64(address + [column + c + 1]))
+            getattr(gen, method)(out=out[c])
+        if method == "random":
+            # random() lands in [0, 1); the clamp keeps the interval open
+            np.maximum(out, _U_MIN, out=out)
+
     def _columns(self, method: str, step: int, n: int, width: int, context: int,
                  column: int) -> np.ndarray:
         """A ``(n, width)`` block whose column ``c`` is the ``Generator`` draw
         ``method`` of ``n`` values from stream column ``column + c``."""
-        address = [self.seed & _MASK64, context & _MASK64, step & _MASK64]
         out = np.empty((width, n))
-        for c in range(width):
-            gen = np.random.Generator(np.random.SFC64(address + [column + c + 1]))
-            getattr(gen, method)(out=out[c])
+        self.fill_columns(out, method, step, context, column)
         return out.T
 
     def uniform_rows(self, step: int, n: int, width: int, context: int = 0,
                      column: int = 0) -> np.ndarray:
         """Uniform draws in (0, 1) of ``n`` particles in stream columns
         ``column..column+width-1`` at one step, shape ``(n, width)``."""
-        out = self._columns("random", step, n, width, context, column)
-        # random() lands in [0, 1); the clamp keeps the interval open
-        np.maximum(out, _U_MIN, out=out)
-        return out
+        return self._columns("random", step, n, width, context, column)
 
     def normal_rows(self, step: int, n: int, width: int, context: int = 0,
                     column: int = 0) -> np.ndarray:

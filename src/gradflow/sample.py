@@ -2,7 +2,8 @@
 
 All methods draw from substreams seeded by their address (seed,
 context, step, column), random-stream layout 4 of ``rng``, so runs are
-reproducible bit for bit.  Per-step draw layout, by stream column:
+reproducible bit for bit.  Per-step draw layout, by stream column, as
+``_transition`` declares it:
 
 * ula / ensemble: dim Gaussian columns
 * mala:           dim Gaussian columns + 1 acceptance uniform
@@ -11,16 +12,23 @@ reproducible bit for bit.  Per-step draw layout, by stream column:
 
 Ensemble initialization uses context 1 of the stream, dynamics context 0.
 Every step is a plain map from the ``(J, dim)`` particles, a carry and
-that step's draws to the next particles and carry; only MALA's carry
-holds anything (V and grad V at the particles).  ``_transition`` is the
-one place that reads the stream, so the layout above is read off it, and
-``run_sampler`` is a single loop that threads the carry through the
-transition it returns.  A run's ``stats`` describe the ensemble it ends
-with, whatever states it records on the way.
+that step's draws, one ``(width, J)`` block in that layout, to the next
+particles and carry; only MALA's carry holds anything (V and grad V at
+the particles).  ULA and MALA take their Gaussian rows already multiplied
+by sqrt(2 tau).  ``_transition`` is the one place that declares the
+layout, and ``run_sampler`` is a single loop that threads the carry
+through the transition and hands each step its block.  When a step draws
+at least ``_PREFETCH_MIN`` values, two helper threads draw the next two
+steps' blocks into a ring of buffers while the particles move; smaller
+steps draw their block in line.  A block is a function of its address
+alone, so output never depends on which path drew it.  A run's ``stats``
+describe the ensemble it ends with, whatever states it records on the way.
 """
 
 from __future__ import annotations
 
+import contextlib
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -44,6 +52,15 @@ __all__ = [
     "run_sampler",
     "integrated_autocorr_time",
 ]
+
+# A step that draws at least this many values has its blocks drawn ahead
+# on helper threads; below it, handing a block over costs more than the
+# draw saves.
+_PREFETCH_MIN = 2**16
+# steps drawn ahead of the one that moves, one helper thread each
+_AHEAD = 2
+# an ensemble mobility whose least eigenvalue is at or below this is singular
+SINGULAR_EIGENVALUE = 1e-14
 
 
 @dataclass
@@ -119,22 +136,23 @@ def ula_step(p: Potential, theta, tau: float, noise) -> np.ndarray:
     if tau <= 0:
         raise ValueError("tau must be positive")
     th = np.asarray(theta, dtype=float)
-    return _langevin_move(th, p.grad(th), tau, np.asarray(noise, dtype=float))
+    return _langevin_move(th, p.grad(th), tau,
+                          np.sqrt(2.0 * tau) * np.asarray(noise, dtype=float))
 
 
-def _langevin_move(x, g, tau: float, noise) -> np.ndarray:
-    """x - tau g + sqrt(2 tau) noise, built in one new array.
+def _langevin_move(x, g, tau: float, scaled_noise) -> np.ndarray:
+    """x - tau g + scaled_noise, built in one new array; with scaled_noise
+    = sqrt(2 tau) noise, one Langevin move.
 
     -tau g is -(tau g) and x + (-(tau g)) is x - tau g bit for bit, so the
-    result has the bytes of the plain expression; x, g and noise are only
-    read, and the scaled noise is the one other full-size temporary.
+    result has the bytes of the plain expression; x, g and scaled_noise
+    are only read, and no other full-size array is made.
     """
     out = np.multiply(g, -tau)
-    # when the caller holds no other reference (ula_step), this frees the
-    # gradient before the noise is scaled
+    # when the caller holds no other reference, this frees the gradient
     del g
     out += x
-    out += np.sqrt(2.0 * tau) * noise
+    out += scaled_noise
     return out
 
 
@@ -175,7 +193,7 @@ def ensemble_covariance(x) -> np.ndarray:
 
 def _spectral_roots(matrix: np.ndarray):
     w, q = np.linalg.eigh(matrix)
-    if w.min() <= 1e-14:
+    if w.min() <= SINGULAR_EIGENVALUE:
         raise PreconditionerError(
             f"ensemble covariance is numerically singular (min eigenvalue "
             f"{w.min():.3e}); increase the ridge or the ensemble size")
@@ -260,46 +278,120 @@ def bdl_step(p: Potential, x, tau: float, noise, uniforms, bandwidth="auto",
 
 # --- driver -------------------------------------------------------------------
 
-def _transition(method: str, p: Potential, rng: RngStream, tau: float, ridge, bandwidth):
-    """The method as one plain map step(x, carry, k) -> (x, carry, n_accepted)
-    of the (J, dim) particles x; the one reader of the stream, it draws the
-    columns of stream step k in the module docstring's layout and hands
-    them to a map.  MALA's carry is (V(x), grad V(x)), computed at x when
-    the carry is None, so each step evaluates the potential at the
-    proposals only; the other methods pass their carry through untouched."""
+def _transition(method: str, p: Potential, tau: float, ridge, bandwidth):
+    """The method as one plain map step(x, carry, draws) -> (x, carry,
+    n_accepted) of the (J, dim) particles x, with its draw layout:
+    ``(step, n_uniform, scale)``.  ``draws`` is stream step k's
+    ``(dim + n_uniform, J)`` block in the module docstring's layout, its
+    dim Gaussian rows multiplied by ``scale`` (None: left raw) and then its
+    uniform rows; a map only reads it.  MALA's carry is (V(x), grad V(x)),
+    computed at x when the carry is None, so each step evaluates the
+    potential at the proposals only; the other methods pass their carry
+    through untouched."""
     if method == "mala":
-        def step(x, carry, k):
-            j, dim = x.shape
+        def step(x, carry, draws):
+            dim = x.shape[1]
             if carry is None:
                 carry = np.asarray(p.value(x), dtype=float), p.grad(x)
             energy, grads = carry
-            noise = rng.normal_rows(k, j, dim)
-            u = rng.uniform_rows(k, j, 1, column=dim)[:, 0]
-            proposal = _langevin_move(x, grads, tau, noise)
+            proposal = _langevin_move(x, grads, tau, draws[:dim].T)
             prop_energy = np.asarray(p.value(proposal), dtype=float)
             prop_grads = p.grad(proposal)
             log_a = _mala_log_ratio(x, energy, grads, proposal, prop_energy, prop_grads, tau)
-            accept = u < np.exp(np.minimum(0.0, log_a))
+            accept = draws[dim] < np.exp(np.minimum(0.0, log_a))
             # a NaN log ratio is not accepted, so it rejects
             reject = ~accept
             np.copyto(proposal, x, where=reject[:, None])
             np.copyto(prop_energy, energy, where=reject)
             np.copyto(prop_grads, grads, where=reject[:, None])
             return proposal, (prop_energy, prop_grads), int(accept.sum())
-    elif method == "ula":
-        def step(x, carry, k):
-            return ula_step(p, x, tau, rng.normal_rows(k, *x.shape)), carry, len(x)
-    elif method == "ensemble":
-        def step(x, carry, k):
-            noise = rng.normal_rows(k, *x.shape)
-            return ensemble_langevin_step(p, x, tau, noise, ridge=ridge), carry, len(x)
-    else:
-        def step(x, carry, k):
-            j, dim = x.shape
-            noise = rng.normal_rows(k, j, dim)
-            uniforms = rng.uniform_rows(k, j, 2, column=dim)
-            return bdl_step(p, x, tau, noise, uniforms, bandwidth=bandwidth), carry, j
-    return step
+        return step, 1, np.sqrt(2.0 * tau)
+    if method == "ula":
+        def step(x, carry, draws):
+            return _langevin_move(x, p.grad(x), tau, draws.T), carry, len(x)
+        return step, 0, np.sqrt(2.0 * tau)
+    if method == "ensemble":
+        def step(x, carry, draws):
+            return ensemble_langevin_step(p, x, tau, draws.T, ridge=ridge), carry, len(x)
+        return step, 0, None
+
+    def step(x, carry, draws):
+        dim = x.shape[1]
+        # bdl_step is looked up in this module at each call, where tracing wraps it
+        return (bdl_step(p, x, tau, draws[:dim].T, draws[dim:].T, bandwidth=bandwidth),
+                carry, len(x))
+    return step, 2, None
+
+
+def _drawer(rng: RngStream, dim: int, n_uniform: int, scale):
+    """draw(k, out): fill ``out`` with stream step k's block in the layout
+    ``_transition`` declares.  Multiplying in place gives the bytes of
+    ``scale * noise``, since IEEE multiplication commutes."""
+    def draw(k, out):
+        rng.fill_columns(out[:dim], "standard_normal", k)
+        if n_uniform:
+            rng.fill_columns(out[dim:], "random", k, column=dim)
+        if scale is not None:
+            out[:dim] *= scale
+    return draw
+
+
+def _drawn_inline(draw, block, steps):
+    """``block`` holding each stream step of ``steps`` in turn, its draws
+    made just before the caller moves that step."""
+    for k in steps:
+        draw(k, block)
+        yield block
+
+
+def _drawn_ahead(draw, ring, steps):
+    """The slot of ``ring`` holding each stream step of ``steps`` in turn,
+    its draws made on helper threads into slot ``i % len(ring)`` for the
+    i-th step.  While the caller moves one step, the helpers draw the next
+    ``len(ring) - 1``; a slot is refilled only once the caller asks for the
+    next step, so it is done with that slot.  The helpers call ``draw``
+    alone, and closing the generator stops and joins them; a helper's
+    exception is raised to the caller."""
+    import queue  # here, so that commands that run no sampler do not load it
+
+    n = len(ring)
+    done = [threading.Event() for _ in range(n)]
+    failed = [None] * n
+    tasks = queue.SimpleQueue()
+
+    def serve():
+        while (task := tasks.get()) is not None:
+            i, slot = task
+            try:
+                draw(steps[i], ring[slot])
+            except BaseException as exc:  # raised again on the caller's thread
+                failed[slot] = exc
+            done[slot].set()
+
+    def submit(i):
+        if i < len(steps):
+            done[i % n].clear()
+            tasks.put((i, i % n))
+
+    helpers = [threading.Thread(target=serve, daemon=True) for _ in range(n - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        for i in range(n - 1):
+            submit(i)
+        for i in range(len(steps)):
+            # the previous step's slot is free now
+            submit(i + n - 1)
+            slot = i % n
+            done[slot].wait()
+            if failed[slot] is not None:
+                raise failed[slot]
+            yield ring[slot]
+    finally:
+        for _ in helpers:
+            tasks.put(None)
+        for helper in helpers:
+            helper.join()
 
 
 def _check_finite(particles: np.ndarray, step: int):
@@ -320,7 +412,9 @@ def run_sampler(method: str, p: Potential, init: Ensemble, tau: float,
     is the ensemble that ``stats`` describe.  The transition's carry
     starts as None and is threaded from step to step.  What is recorded
     never changes ``stats``.  Output is deterministic given the stream
-    seed; a non-finite state aborts with the offending step and particle.
+    seed, and the same whether the draws are made ahead on helper threads
+    (joined before it returns) or in line; a non-finite state aborts with
+    the offending step and particle.
     """
     if method not in ("ula", "mala", "ensemble", "bdl"):
         raise ValueError(f"unknown sampler method {method!r}")
@@ -337,19 +431,27 @@ def run_sampler(method: str, p: Potential, init: Ensemble, tau: float,
 
     particles = init.particles
     j, dim = particles.shape
-    step = _transition(method, p, init.rng, tau, ridge, bandwidth)
+    step, n_uniform, scale = _transition(method, p, tau, ridge, bandwidth)
+    width = dim + n_uniform
+    draw = _drawer(init.rng, dim, n_uniform, scale)
+    stream_steps = range(init.step, init.step + n_steps)  # one per transition
+    if j * width >= _PREFETCH_MIN:
+        draws = _drawn_ahead(draw, np.empty((_AHEAD + 1, width, j)), stream_steps)
+    else:
+        draws = _drawn_inline(draw, np.empty((width, j)), stream_steps)
     carry = None
     recorded = [0]
     snaps = [particles]
     n_accepted = 0
-    for local in range(1, n_steps + 1):
-        k = init.step + local - 1  # stream step index for this transition
-        particles, carry, accepted = step(particles, carry, k)
-        _check_finite(particles, k)
-        n_accepted += accepted
-        if local in keep:
-            recorded.append(local)
-            snaps.append(particles)
+    # closing the draws frees their buffers before the states are stacked
+    with contextlib.closing(draws):
+        for local, k in enumerate(stream_steps, start=1):
+            particles, carry, accepted = step(particles, carry, next(draws))
+            _check_finite(particles, k)
+            n_accepted += accepted
+            if local in keep:
+                recorded.append(local)
+                snaps.append(particles)
 
     steps = init.step + np.asarray(recorded, dtype=int)
     cov = np.atleast_2d(np.cov(particles.T)) if j > 1 else np.zeros((dim, dim))

@@ -208,7 +208,10 @@ def _configs(draw):
             doc["init"]["cov"] = np.diag(diag).tolist()
     if family == "stochastic":
         doc["seed"] = draw(st.integers(0, 2**64 - 1))
-        doc["particles"] = draw(st.integers(1, 10**6))
+        doc["particles"] = draw(st.integers(2 if method == "bdl" else 1, 10**6))
+        if method == "ensemble" and (doc["particles"] == 1 or init_kind != "gaussian"):
+            # particles that may all start on one point have zero covariance
+            doc["ridge"] = draw(st.floats(1e-3, 1e3))
         doc["bandwidth"] = draw(st.one_of(st.just("auto"), POSITIVE))
     if family != "deterministic" or draw(st.booleans()):
         if family == "grid":
@@ -670,14 +673,45 @@ outputs:
     (SAMPLER_1D + "init: [0.0]\noutputs:\n  - {kind: samples, path: s.csv}\n"
      "  - {kind: stats, path: ./s.csv}\n",
      "line 10: output path './s.csv' writes './s.csv', as does line 9"),
+    (SAMPLER_1D.replace("ula", "bdl").replace("particles: 4", "particles: 1")
+     + "init: [0.0]\n",
+     "line 6: method 'bdl' needs at least 2 particles, one to replace another"),
+    (SAMPLER_1D.replace("ula", "ensemble").replace("particles: 4", "particles: 1")
+     + "init: [0.0]\nridge: 1.0e-14\n",
+     "line 6: method 'ensemble' with 1 particle needs ridge > 1e-14, since its ensemble "
+     "covariance is zero"),
+    (SAMPLER_1D.replace("ula", "ensemble") + "init: {kind: points, points: [[0.5], [0.5]]}\n",
+     "line 7: method 'ensemble' needs ridge > 1e-14 when every particle starts on one "
+     "point, since their ensemble covariance is zero"),
+    ("problem: quadratic:0.5,1.0,2.0\nmethod: ensemble\ntau: 0.01\nsteps: 10\nseed: 1\n"
+     "particles: 3\nridge: 0.0\ninit: {kind: gaussian, mean: [0.0, 0.0, 0.0], var: 1.0}\n",
+     "line 6: method 'ensemble' in 3-D needs its particles to start on more than 3 points or "
+     "ridge > 1e-14, since the ensemble covariance of 3 starting points is singular"),
+    ("problem: quadratic:0.5,1.0\nmethod: ensemble\ntau: 0.01\nsteps: 10\nseed: 1\n"
+     "particles: 5\nridge: 0.0\ninit: {kind: points, points: [[0.0, 0.0], [1.0, 0.0]]}\n",
+     "line 8: method 'ensemble' in 2-D needs its particles to start on more than 2 points or "
+     "ridge > 1e-14, since the ensemble covariance of 2 starting points is singular"),
 ], ids=["endpoint_near-on-ula", "metric_max-on-gd", "two-starts-one-path",
         "two-times-one-path", "two-times-one-name", "two-outputs-one-path",
         "monotone-at-one-time", "monotone-at-one-step", "rates-without-v_star",
         "newton-without-hessian", "negative-entropy-below-0", "newton-from-an-indefinite-start",
         "an-output-at-the-manifest",
-        "two-spellings-of-one-path"])
+        "two-spellings-of-one-path", "bdl-of-one-particle", "ensemble-of-one-particle",
+        "ensemble-on-one-point", "ensemble-of-too-few-particles-without-ridge",
+        "ensemble-on-too-few-points-without-ridge"])
 def test_what_a_run_would_find_late_is_a_config_error(tmp_path, capsys, text, message):
     _rejected_by_validate_and_run(tmp_path, capsys, text, message)
+
+
+def test_one_ensemble_particle_runs_on_a_ridge(tmp_path):
+    # its mobility is the ridge alone
+    cfg_path = tmp_path / "exp.yaml"
+    cfg_path.write_text(SAMPLER_1D.replace("ula", "ensemble").replace(
+        "particles: 4", "particles: 1") + "init: [0.0]\nridge: 0.5\n"
+        "outputs:\n  - {kind: samples, path: s.csv}\n")
+    assert main(["validate", str(cfg_path)]) == 0
+    assert main(["run", str(cfg_path), "--out-root", str(tmp_path)]) == 0
+    assert len((tmp_path / "s.csv").read_text().splitlines()) == 12  # header, steps 0..10
 
 
 # exp(-V) of V = 50 theta^2 underflows to zero beyond |theta| of about 3.9

@@ -349,6 +349,13 @@ init: [0.0]
       "line 5: output kind 'rates' (line 8) needs a target density that does not "
       "vanish on the grid; the Gibbs density of 'quadratic:50' vanishes here, so "
       "shrink the domain"]),
+    ("bdl-one-particle", ULA.replace("ula", "bdl").replace("particles: 10", "particles: 1")
+     + "init: [0.0]\n",
+     ["line 6: method 'bdl' needs at least 2 particles, one to replace another"]),
+    ("ensemble-one-particle-without-ridge", ULA.replace("ula", "ensemble").replace(
+        "particles: 10", "particles: 1") + "init: [0.0]\nridge: 0.0\n",
+     ["line 6: method 'ensemble' with 1 particle needs ridge > 1e-14, since its ensemble "
+      "covariance is zero"]),
     ("unknown-problem-with-other-errors", GD.replace("double_well", "double_wel")
      + "init: [0.5, 1.0]\nbogus: 1\n",
      ["line 6: unknown key 'bogus'"]),

@@ -1,6 +1,9 @@
 """Samplers against closed-form chains, brute-force densities, and the
 determinism contract."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +14,7 @@ from gradflow.optimize import explicit_euler_step
 from gradflow.potentials import (GaussianSpec, Potential, make_double_well,
                                  make_gaussian_mixture, make_gaussian_posterior,
                                  make_quadratic)
+from gradflow import sample
 from gradflow.rng import RngStream
 from gradflow.sample import (Ensemble, bdl_step, ensemble_covariance,
                              ensemble_langevin_step, integrated_autocorr_time,
@@ -453,3 +457,106 @@ def test_integrated_autocorr_time_is_the_direct_lag_sum():
     cut = next((lag for lag in range(1, n) if acf[lag] <= 0.0), n)
     assert integrated_autocorr_time(x) == pytest.approx(1.0 + 2.0 * acf[1:cut].sum(),
                                                         rel=1e-12)
+
+
+# --- draws made ahead on helper threads ----------------------------------------------------
+
+INLINE, AHEAD = float("inf"), 1  # values of the threshold that force each path
+QUARTIC = Potential(dim=1, value=lambda t: t[..., 0] ** 4, grad=lambda t: 4.0 * t**3)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("method", ["ula", "mala", "ensemble", "bdl"])
+def test_draws_made_ahead_give_the_inline_run_bit_for_bit(monkeypatch, method, dim):
+    p = make_quadratic([0.5 * (d + 1) for d in range(dim)])
+    start = Ensemble.gaussian(RngStream(8), 9, np.zeros(dim), np.eye(dim))
+    ens = Ensemble(particles=start.particles, rng=start.rng, step=5)
+    rings, aliased = [], []
+    drawn_ahead, check_finite = sample._drawn_ahead, sample._check_finite
+
+    def spied_ahead(draw, ring, steps):
+        rings.append(ring)
+        return drawn_ahead(draw, ring, steps)
+
+    def spied_check(particles, step):
+        aliased.append(np.shares_memory(particles, rings[-1]))
+        check_finite(particles, step)
+
+    for n_steps in (0, 1, 7):
+        monkeypatch.setattr(sample, "_PREFETCH_MIN", INLINE)
+        inline = run_sampler(method, p, ens, 0.2, n_steps)
+        monkeypatch.setattr(sample, "_PREFETCH_MIN", AHEAD)
+        monkeypatch.setattr(sample, "_drawn_ahead", spied_ahead)
+        monkeypatch.setattr(sample, "_check_finite", spied_check)
+        ahead = run_sampler(method, p, ens, 0.2, n_steps)
+        monkeypatch.undo()
+        assert ahead.states.tobytes() == inline.states.tobytes()
+        assert ahead.steps.tolist() == inline.steps.tolist()
+        assert ahead.stats.n_accepted == inline.stats.n_accepted
+        assert not any(np.shares_memory(state, rings[-1]) for state in ahead.states)
+    assert len(rings) == 3 and len(aliased) == 8 and not any(aliased)
+
+
+def test_draws_made_ahead_hold_under_rapid_thread_switches(monkeypatch):
+    # two helpers and the caller on at most two cores, switching every
+    # microsecond: a slot refilled while its step still reads it changes bits
+    ens = Ensemble.gaussian(RngStream(6), 7, [0.0, 0.0], np.eye(2))
+    p = make_quadratic([0.5, 2.0])
+    monkeypatch.setattr(sample, "_PREFETCH_MIN", INLINE)
+    inline = run_sampler("mala", p, ens, 0.3, 400, record=())
+    monkeypatch.setattr(sample, "_PREFETCH_MIN", AHEAD)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        ahead = run_sampler("mala", p, ens, 0.3, 400, record=())
+    finally:
+        sys.setswitchinterval(interval)
+    assert ahead.final.tobytes() == inline.final.tobytes()
+    assert ahead.stats.n_accepted == inline.stats.n_accepted
+
+
+@pytest.mark.parametrize("method,step,particle", [("ula", 6, 2), ("ensemble", 4, 0)])
+def test_a_divergence_drawn_ahead_is_the_inline_one_and_stops_the_helpers(
+        monkeypatch, method, step, particle):
+    ens = Ensemble(particles=np.array([[0.0], [0.5], [3.0], [-0.3]]), rng=RngStream(1))
+    for threshold in (INLINE, AHEAD):
+        monkeypatch.setattr(sample, "_PREFETCH_MIN", threshold)
+        before = threading.active_count()
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DivergenceError) as err:
+            run_sampler(method, QUARTIC, ens, 0.1, 20)
+        assert (err.value.step, err.value.particle) == (step, particle)
+        assert threading.active_count() == before
+
+
+def test_a_draw_that_fails_on_a_helper_is_raised_to_the_caller(monkeypatch):
+    fill_columns = RngStream.fill_columns
+
+    def failing(self, out, method, step, context=0, column=0):
+        if step == 3:
+            raise MemoryError("no room for step 3")
+        fill_columns(self, out, method, step, context, column)
+
+    monkeypatch.setattr(RngStream, "fill_columns", failing)
+    monkeypatch.setattr(sample, "_PREFETCH_MIN", AHEAD)
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="step 3"):
+        run_sampler("ula", STD_GAUSSIAN, Ensemble.gaussian(RngStream(2), 5, [0.0], [[1.0]]),
+                    0.1, 10)
+    assert threading.active_count() == before
+
+
+def test_only_steps_that_draw_enough_values_start_helpers(monkeypatch):
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    for j in (sample._PREFETCH_MIN - 1, sample._PREFETCH_MIN):
+        ens = Ensemble.gaussian(RngStream(3), j, [0.0], [[1.0]])
+        run_sampler("ula", STD_GAUSSIAN, ens, 0.1, 3, record=())
+        assert len(started) == (0 if j < sample._PREFETCH_MIN else sample._AHEAD)
+    assert not any(thread.is_alive() for thread in started)
