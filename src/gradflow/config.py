@@ -386,8 +386,8 @@ def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate; raises ConfigError listing every violation.
 
     The problem's potential is built to check the config against, and
-    kept as its ``potential``; an identifier that no potential accepts
-    raises the potential's ValueError, once the config has no other errors.
+    kept as its ``potential``; an identifier that no potential accepts is
+    an error at the ``problem`` line, with the potential's message.
     """
     errors: List[str] = []
     try:
@@ -410,12 +410,12 @@ def parse_config(text: str) -> ExperimentConfig:
         elif rule == "one of" and sum(key in items for key in keys) != 1:
             errors.append("line 1: exactly one of {!r} or {!r} is required".format(*keys))
 
-    potential, problem_error = None, None
+    potential = None
     if values["problem"] is not None:
         try:
             potential = from_identifier(values["problem"])
         except ValueError as exc:
-            problem_error = exc
+            errors.append(f"line {_line(items['problem'])}: problem {exc}")
     dim = None if potential is None else potential.dim
 
     if values["grid"] is not None:
@@ -438,8 +438,6 @@ def parse_config(text: str) -> ExperimentConfig:
         errors.extend(_family_errors(cfg, items, potential, outputs, assertions))
     if errors:
         raise ConfigError(errors)
-    if problem_error is not None:
-        raise problem_error
     return cfg
 
 

@@ -133,10 +133,7 @@ def normalize(values, grid: Grid1D) -> GridDensity:
     rounding.  Raises on all-zero input.
     """
     vals = np.asarray(values, dtype=float)
-    if vals.shape != (grid.n,):
-        raise ValueError("values length must match grid size")
-    if np.any(vals < 0):
-        raise ValueError("values must be nonnegative")
+    check_cell_values(vals, grid)
     mass = float(vals.sum() * grid.dx)
     if mass <= 0.0:
         raise ValueError("cannot normalize an all-zero density")

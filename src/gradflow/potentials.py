@@ -186,6 +186,39 @@ def make_pl_not_convex() -> Potential:
                      name="pl_not_convex")
 
 
+def _spd_inverse(cov):
+    """Inverse of a symmetric positive-definite matrix, ``(L^-1)' L^-1`` from
+    its Cholesky factor ``L``; raises numpy's LinAlgError when there is no
+    factor, and ValueError on a non-finite entry, which the factor would pass.
+    """
+    if not np.isfinite(cov).all():
+        raise ValueError("covariance must be finite")
+    inv_l = np.linalg.inv(np.linalg.cholesky(cov))
+    return inv_l.T @ inv_l
+
+
+def _logsumexp(a, keepdims=False):
+    """``log(sum(exp(a)))`` over the last axis, with the bits SciPy's
+    ``special.logsumexp`` gives for real input.
+
+    The largest entries are counted and taken out of the shifted sum
+    (Blanchard, Higham & Higham, IMA J. Numer. Anal. 41, 2021), and a result
+    that is not finite (all ``-inf``, ``+inf`` or NaN) is the direct sum's.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        top = a.max(axis=-1, keepdims=True)
+        at_top = a == top
+        m = at_top.sum(axis=-1, keepdims=True, dtype=float)
+        s = np.exp(np.where(at_top, -np.inf, a) - top).sum(axis=-1, keepdims=True)
+        out = np.log1p(np.where(s == 0, s, s / m)) + np.log(m) + top
+        finite = np.isfinite(out)
+        if not finite.all():
+            out = np.where(finite, out, np.log(np.exp(a).sum(axis=-1, keepdims=True)))
+    if not keepdims:
+        out = np.squeeze(out, axis=-1)
+    return out[()] if out.ndim == 0 else out
+
+
 def make_gaussian_posterior(prior: GaussianSpec, design, noise_cov, data):
     """Linear-Gaussian negative log posterior plus its closed form.
 
@@ -195,10 +228,6 @@ def make_gaussian_posterior(prior: GaussianSpec, design, noise_cov, data):
     Returns ``(potential, posterior)`` where ``posterior`` is the conjugate
     Gaussian, for use as an oracle in sampler checks.
     """
-    # imported here, not at module level, so runs on other problems never
-    # load scipy.linalg (likewise scipy.special in make_gaussian_mixture)
-    from scipy.linalg import cho_factor, cho_solve
-
     a_mat = np.atleast_2d(np.asarray(design, dtype=float))
     y = np.atleast_1d(np.asarray(data, dtype=float))
     sn = np.atleast_2d(np.asarray(noise_cov, dtype=float))
@@ -212,13 +241,10 @@ def make_gaussian_posterior(prior: GaussianSpec, design, noise_cov, data):
     if not np.allclose(sn, sn.T, atol=1e-12):
         raise ValueError("noise covariance must be symmetric")
     try:
-        sn_chol = cho_factor(sn)
+        prec_noise = _spd_inverse(sn)
     except np.linalg.LinAlgError as exc:
         raise ValueError("noise covariance must be positive definite") from exc
-    s0_chol = cho_factor(prior.covariance)
-
-    prec_noise = cho_solve(sn_chol, np.eye(y.size))
-    prec_prior = cho_solve(s0_chol, np.eye(dim))
+    prec_prior = _spd_inverse(prior.covariance)
     precision = a_mat.T @ prec_noise @ a_mat + prec_prior
     precision = 0.5 * (precision + precision.T)
     post_cov = np.linalg.inv(precision)
@@ -262,8 +288,6 @@ def make_gaussian_mixture(components: Sequence) -> Potential:
     weights summing to one.  The gradient weights each component's
     precision-whitened displacement by its responsibility.
     """
-    from scipy.special import logsumexp
-
     comps = list(components)
     if not comps:
         raise ValueError("mixture needs at least one component")
@@ -292,12 +316,12 @@ def make_gaussian_mixture(components: Sequence) -> Potential:
 
     def value(theta):
         th = _points(theta, dim)
-        return -logsumexp(_log_terms(th), axis=-1)
+        return -_logsumexp(_log_terms(th))
 
     def grad(theta):
         th = _points(theta, dim)
         terms = _log_terms(th)
-        resp = np.exp(terms - logsumexp(terms, axis=-1, keepdims=True))
+        resp = np.exp(terms - _logsumexp(terms, keepdims=True))
         diffs = th[..., None, :] - means
         whitened = np.einsum("kij,...kj->...ki", precisions, diffs)
         return np.einsum("...k,...ki->...i", resp, whitened)

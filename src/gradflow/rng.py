@@ -38,8 +38,10 @@ RNG_LAYOUT = 4
 def ndtri(u):
     """Inverse standard normal CDF, ``scipy.special.ndtri``.
 
-    scipy is imported on the first call, so a process that never calls it
-    never loads it.  No sampler calls it.
+    Nothing in gradflow calls it: it is kept only for perfbench's tracer,
+    which traces it by name.  It needs scipy, which is not a runtime
+    dependency (install the ``test`` extra); scipy is imported on the first
+    call.
     """
     from scipy.special import ndtri as _ndtri
     return _ndtri(u)

@@ -835,14 +835,21 @@ def test_a_run_writes_its_file_plan(tmp_path, text, paths):
     assert all((tmp_path / path).exists() for path in paths)
 
 
-def test_an_unknown_problem_still_fails_validate_at_runtime_exit(tmp_path, capsys):
+@pytest.mark.parametrize("problem,message", [
+    ("double_wel", "unknown potential 'double_wel'"),
+    ("gaussian_posterior:1", "bad potential identifier 'gaussian_posterior:1': "
+                             "expected 5 numbers, got 1"),
+], ids=["unknown", "malformed"])
+def test_a_bad_problem_is_a_config_error_at_its_line(tmp_path, capsys, problem, message):
     cfg_path = tmp_path / "exp.yaml"
-    cfg_path.write_text(MINIMAL_GD.replace("double_well", "double_wel"))
-    assert main(["validate", str(cfg_path)]) == 3
-    assert "unknown potential 'double_wel'" in capsys.readouterr().err
-    # other config errors come first, as exit 2
-    cfg_path.write_text(MINIMAL_GD.replace("double_well", "double_wel") + "bogus: 1\n")
+    cfg_path.write_text(MINIMAL_GD.replace("double_well", problem))
     assert main(["validate", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == f"config error: line 1: problem {message}\n"
+    # reported beside the config's other errors
+    cfg_path.write_text(MINIMAL_GD.replace("double_well", problem) + "bogus: 1\n")
+    assert main(["validate", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"line 1: problem {message}" in err and "'bogus'" in err
 
 
 # --- runner: deterministic recipe -------------------------------------------------
@@ -1079,10 +1086,13 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["validate", str(bad)]) == 2
     assert main(["run", str(tmp_path / "missing.yaml")]) == 2
 
-    # runtime error: config is valid but the problem id fails downstream
+    # runtime error: the config is valid, but the sampler diverges
     broken = tmp_path / "broken.yaml"
-    broken.write_text(MINIMAL_GD.replace("double_well", "quadratic:-1"))
-    assert main(["run", str(broken), "--out-root", str(tmp_path)]) == 3
+    broken.write_text("problem: double_well\nmethod: ula\ntau: 10.0\nsteps: 20\nseed: 1\n"
+                      "particles: 10\ninit: {kind: gaussian, mean: [0.0], var: 1.0}\n")
+    with np.errstate(over="ignore"):
+        assert main(["run", str(broken), "--out-root", str(tmp_path)]) == 3
+    assert "error: non-finite state at step" in capsys.readouterr().err
 
     failing = tmp_path / "failing.yaml"
     failing.write_text(TINY_ULA + (

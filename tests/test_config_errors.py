@@ -358,7 +358,7 @@ init: [0.0]
       "covariance is zero"]),
     ("unknown-problem-with-other-errors", GD.replace("double_well", "double_wel")
      + "init: [0.5, 1.0]\nbogus: 1\n",
-     ["line 6: unknown key 'bogus'"]),
+     ["line 6: unknown key 'bogus'", "line 1: problem unknown potential 'double_wel'"]),
 ]
 
 

@@ -1,7 +1,8 @@
-"""Which commands load scipy: a run imports it only where it calls it.
+"""No command loads scipy: gradflow runs on numpy and PyYAML alone.
 
-Each check runs in a fresh interpreter with ``PYTHONPATH=src``, because
-this test process has scipy loaded already.
+The check runs in a fresh interpreter with ``PYTHONPATH=src`` that cannot
+import scipy, because this test process has scipy (a test dependency)
+loaded already.
 """
 
 import json
@@ -14,6 +15,7 @@ import numpy as np
 from scipy import special
 
 from gradflow import rng, sample
+from gradflow.config import parse_config
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -70,55 +72,76 @@ outputs:
 """
 
 
-def _scipy_modules_after(statements: str) -> list:
-    """The scipy modules a fresh interpreter holds after ``statements``."""
-    code = (statements + "\nimport json, sys\n"
-            "print(json.dumps(sorted(k for k in sys.modules if k.startswith('scipy'))))")
+BDL_MIXTURE_RUN = """\
+problem: "mixture:0.5,-2.0,0.5;0.5,2.0,0.5"
+method: bdl
+tau: 0.01
+steps: 10
+seed: 5
+particles: 100
+init: {kind: gaussian, mean: [-2.0], var: 0.05}
+grid: {lo: -6.0, hi: 6.0, n: 60}
+outputs:
+  - {kind: histogram, path: hist.csv}
+  - {kind: metrics, path: metrics.csv}
+"""
+
+POSTERIOR_RUN = """\
+problem: "gaussian_posterior:0.5,2.0,1.5,0.7,1.2"
+method: ula
+tau: 0.05
+steps: 20
+seed: 6
+particles: 100
+init: {kind: gaussian, mean: [0.0], var: 1.0}
+outputs:
+  - {kind: samples, path: samples.csv}
+  - {kind: stats, path: stats.txt}
+"""
+
+RUNS = {"fpe": FPE_RUN, "gd": GD_RUN, "ula": ULA_RUN, "mala": MALA_RUN,
+        "bdl_mixture": BDL_MIXTURE_RUN, "posterior": POSTERIOR_RUN}
+
+# a finder ahead of all others that refuses scipy and its submodules, as an
+# interpreter without scipy installed would
+BLOCK_SCIPY = """\
+import sys
+
+class _NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+        return None
+
+sys.meta_path.insert(0, _NoScipy())
+"""
+
+
+def test_no_command_loads_scipy(tmp_path):
+    # importing the CLI, validating both recipes, and a grid solve, a descent
+    # flow, ULA and MALA (ziggurat Gaussians, no ndtri), birth-death on a
+    # mixture and a sampler on a posterior, all in one interpreter
+    commands = [["validate", str(ROOT / "recipes" / name)]
+                for name in ("fig2_basins.yaml", "fig3_langevin_histograms.yaml")]
+    for name, text in RUNS.items():
+        (tmp_path / f"{name}.yaml").write_text(text)
+        commands.append(["run", str(tmp_path / f"{name}.yaml"),
+                         "--out-root", str(tmp_path / name)])
+    code = BLOCK_SCIPY + (
+        "import json\n"
+        "from gradflow.cli import main\n"
+        f"codes = [main(args) for args in {commands!r}]\n"
+        "print(json.dumps([codes, sorted(k for k in sys.modules if k.startswith('scipy'))]))\n")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
-                          capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout.splitlines()[-1])
-
-
-def _cli_scipy_modules(args) -> list:
-    return _scipy_modules_after(
-        "from gradflow.cli import main\n"
-        f"assert main({args!r}) == 0\n")
-
-
-def _run_config(tmp_path, text) -> list:
-    cfg = tmp_path / "exp.yaml"
-    cfg.write_text(text)
-    return _cli_scipy_modules(["run", str(cfg), "--out-root", str(tmp_path / "out")])
-
-
-def test_importing_the_cli_loads_no_scipy():
-    assert _scipy_modules_after("import gradflow.cli") == []
-
-
-def test_validating_the_recipes_loads_no_scipy():
-    recipes = [str(ROOT / "recipes" / name) for name in
-               ("fig2_basins.yaml", "fig3_langevin_histograms.yaml")]
-    for recipe in recipes:
-        assert _cli_scipy_modules(["validate", recipe]) == []
-
-
-def test_a_grid_solve_loads_no_scipy(tmp_path):
-    assert _run_config(tmp_path, FPE_RUN) == []
-    assert (tmp_path / "out" / "density.csv").exists()
-
-
-def test_a_descent_flow_loads_no_scipy(tmp_path):
-    assert _run_config(tmp_path, GD_RUN) == []
-    assert (tmp_path / "out" / "trajectory_1.csv").exists()
-
-
-def test_a_sampler_run_loads_no_scipy(tmp_path):
-    # ziggurat Gaussians: a sampler run needs no scipy.special.ndtri
-    for name, text in (("ula", ULA_RUN), ("mala", MALA_RUN)):
-        (tmp_path / name).mkdir()
-        assert _run_config(tmp_path / name, text) == [], name
-        assert (tmp_path / name / "out" / "samples.csv").exists()
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0] * len(commands), proc.stderr
+    assert scipy_modules == []
+    for name, text in RUNS.items():
+        for _, path, _ in parse_config(text).files():
+            assert (tmp_path / name / path).exists(), (name, path)
 
 
 def test_sample_and_rng_bind_one_ndtri():

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
+from scipy.special import logsumexp
 
 from gradflow.density import Grid1D, moments, normalize
-from gradflow.potentials import (GaussianSpec, Potential, estimate_pl_constant,
-                                 finite_diff_grad, from_identifier,
+from gradflow.potentials import (GaussianSpec, Potential, _logsumexp, _spd_inverse,
+                                 estimate_pl_constant, finite_diff_grad, from_identifier,
                                  make_boltzmann, make_double_well,
                                  make_gaussian_mixture, make_gaussian_posterior,
                                  make_pl_not_convex, make_quadratic)
@@ -169,6 +171,50 @@ def test_mixture_validation():
         make_gaussian_mixture([(1.5, spec), (-0.5, spec)])
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+@pytest.mark.parametrize("shape", [(), (6,), (3, 4)])
+def test_logsumexp_is_scipys_bit_for_bit(shape, k):
+    rng = np.random.default_rng(k)
+    a = rng.normal(scale=30.0, size=shape + (k,))
+    # rows with ties at the top, a -inf entry, all -inf, and a NaN
+    tied = np.round(a / 30.0)
+    tied[..., 0] = tied.max(axis=-1)
+    holed = a.copy()
+    holed[..., -1] = -np.inf
+    cases = [a, tied, holed, np.full(shape + (k,), -np.inf)]
+    nan = a.copy()
+    nan.flat[0] = np.nan
+    cases.append(nan)
+    if shape:
+        mixed = a.copy()
+        mixed[0] = tied[0]
+        mixed.reshape(-1, k)[-1] = -np.inf
+        cases.append(mixed)
+    for case in cases:
+        for keepdims in (False, True):
+            got = _logsumexp(case, keepdims=keepdims)
+            want = logsumexp(case, axis=-1, keepdims=keepdims)
+            assert type(got) is type(want)
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_spd_inverse_is_the_cholesky_solve():
+    rng = np.random.default_rng(7)
+    for var in 10.0 ** rng.uniform(-6, 6, size=200):
+        cov = np.array([[var]])
+        assert _spd_inverse(cov).tobytes() == cho_solve(cho_factor(cov), np.eye(1)).tobytes()
+    for d in (2, 3):
+        x = rng.normal(size=(d, d))
+        cov = x @ x.T + d * np.eye(d)
+        assert np.allclose(_spd_inverse(cov), cho_solve(cho_factor(cov), np.eye(d)),
+                           rtol=1e-12, atol=0.0)
+    with pytest.raises(np.linalg.LinAlgError):
+        _spd_inverse(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(ValueError, match="finite"):
+        _spd_inverse(np.array([[np.inf]]))
+
+
 def test_boltzmann_separable():
     u = make_quadratic([0.5])
     k = make_quadratic([0.5])
@@ -252,7 +298,8 @@ def test_from_identifier_grammar():
     boltz = from_identifier("boltzmann:1,0.5,0.5")
     assert boltz.dim == 2
     for bad in ("nope", "quadratic:", "quadratic:0,-1", "mixture:1,0",
-                "double_well:3"):
+                "double_well:3", "gaussian_posterior:0,1,1,inf,2",
+                "gaussian_posterior:0,inf,1,1,2"):
         with pytest.raises(ValueError):
             from_identifier(bad)
 
