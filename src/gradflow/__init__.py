@@ -14,9 +14,9 @@ from .density import (Grid1D, GridDensity, gibbs_density, histogram, kde,
 from .fpe import (DecayReport, FokkerPlanckSolver1D, FpeState, bdl_fpe_step,
                   decay_report, evolve, fpe_step, variance_mobility,
                   weighted_fpe_step)
-from .optimize import (ConvergenceReport, MirrorMap, PreconditionerField,
-                       Trajectory, backtracking_line_search, bfgs_update,
-                       bregman_divergence, explicit_euler_step,
+from .optimize import (ConvergenceReport, MirrorMap, Trajectory,
+                       backtracking_line_search, bfgs_update,
+                       bregman_divergence, explicit_euler_step, flow_step,
                        implicit_euler_step, mirror_descent_step,
                        negative_entropy_mirror_map, preconditioned_step,
                        quadratic_mirror_map, run_flow, verify_rates)

@@ -27,14 +27,19 @@ class LineSearchError(GradflowError):
 
 
 class DivergenceError(GradflowError):
-    """A sampler state became non-finite; names the step and particle."""
+    """A sampler or descent-flow state became non-finite.
 
-    def __init__(self, step, particle):
-        super().__init__(
-            f"non-finite state at step {step}, particle {particle}"
-        )
+    Names the step as the run's artifacts label it and, when known, the
+    sampler's particle or the flow's start (its index in ``init``).
+    """
+
+    def __init__(self, step, particle=None, start=None):
+        where = (f", particle {particle}" if particle is not None
+                 else f", start {start}" if start is not None else "")
+        super().__init__(f"non-finite state at step {step}{where}")
         self.step = step
         self.particle = particle
+        self.start = start
 
 
 class StabilityError(GradflowError):

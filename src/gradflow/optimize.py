@@ -1,12 +1,14 @@
 """Deterministic descent schemes and rate diagnostics.
 
-A stepper is a plain map ``step(p, theta, carry) -> (theta, carry)``; the
-carry is the state a scheme keeps between steps (only BFGS keeps any).
-``run_flow`` starts each flow with ``carry = None``, threads it from step
-to step and records a :class:`Trajectory`, so one stepper serves any
-number of flows.  ``verify_rates`` checks the recorded energies against
-monotone dissipation and, when curvature constants are available, the
-geometric decay bound for step 1/L.
+``flow_step`` declares each descent method once, as the plain map
+``step(p, theta, carry) -> (theta, carry)``; the carry is the state a
+method keeps between steps (only BFGS keeps any).  ``run_flow`` starts
+each flow with ``carry = None``, threads it from step to step and records
+a :class:`Trajectory`, so one step map serves any number of flows; a
+state that turns non-finite raises :class:`DivergenceError`.
+``verify_rates`` checks the recorded energies against monotone
+dissipation and, when curvature constants are available, the geometric
+decay bound for step 1/L.
 """
 
 from __future__ import annotations
@@ -16,12 +18,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConvergenceError, LineSearchError, PreconditionerError
+from .errors import (ConvergenceError, DivergenceError, LineSearchError,
+                     PreconditionerError)
 from .potentials import Potential
 
 __all__ = [
     "Trajectory",
-    "PreconditionerField",
     "MirrorMap",
     "ConvergenceReport",
     "explicit_euler_step",
@@ -31,13 +33,9 @@ __all__ = [
     "mirror_descent_step",
     "bregman_divergence",
     "backtracking_line_search",
+    "flow_step",
     "run_flow",
     "verify_rates",
-    "gradient_stepper",
-    "implicit_stepper",
-    "preconditioned_stepper",
-    "mirror_stepper",
-    "bfgs_stepper",
     "quadratic_mirror_map",
     "negative_entropy_mirror_map",
 ]
@@ -70,36 +68,6 @@ class Trajectory:
     @property
     def final_state(self) -> np.ndarray:
         return self.states[-1]
-
-
-class PreconditionerField:
-    """A field of SPD matrices H(theta) defining the descent metric."""
-
-    def __init__(self, at: Callable[[np.ndarray], np.ndarray]):
-        self._at = at
-
-    @classmethod
-    def identity(cls, dim: int) -> "PreconditionerField":
-        eye = np.eye(dim)
-        return cls(lambda theta: eye)
-
-    @classmethod
-    def constant(cls, matrix) -> "PreconditionerField":
-        mat = np.atleast_2d(np.asarray(matrix, dtype=float))
-        return cls(lambda theta: mat)
-
-    @classmethod
-    def hessian_of(cls, p: Potential) -> "PreconditionerField":
-        if p.hessian is None:
-            raise PreconditionerError(
-                f"potential {p.name!r} has no Hessian; Newton preconditioning unavailable")
-        return cls(p.hessian)
-
-    def at(self, theta) -> np.ndarray:
-        h = np.atleast_2d(np.asarray(self._at(np.asarray(theta, dtype=float)), dtype=float))
-        if not np.allclose(h, h.T, atol=1e-12):
-            raise PreconditionerError("preconditioner matrix is not symmetric")
-        return h
 
 
 @dataclass(frozen=True)
@@ -264,13 +232,14 @@ def implicit_euler_step(p: Potential, theta, tau: float, tol: float = 1e-10,
         best=x, residual=float(np.linalg.norm(res)))
 
 
-def preconditioned_step(p: Potential, field_h: PreconditionerField, theta,
-                        tau: float) -> np.ndarray:
-    """theta - tau H(theta)^{-1} grad V(theta), solved by Cholesky."""
+def preconditioned_step(p: Potential, h, theta, tau: float) -> np.ndarray:
+    """theta - tau H^{-1} grad V(theta) for the SPD matrix H = H(theta), by Cholesky."""
     if tau <= 0:
         raise ValueError("tau must be positive")
     th = np.asarray(theta, dtype=float)
-    h = field_h.at(th)
+    h = np.atleast_2d(np.asarray(h, dtype=float))
+    if not np.allclose(h, h.T, atol=1e-12):
+        raise PreconditionerError("preconditioner matrix is not symmetric")
     try:
         chol = np.linalg.cholesky(h)
     except np.linalg.LinAlgError as exc:
@@ -341,31 +310,32 @@ def backtracking_line_search(p: Potential, theta, direction, tau0: float,
         f"no acceptable step within {max_shrinks} shrinks from tau0={tau0:g}")
 
 
-# --- stepper factories for run_flow -----------------------------------------
+# --- the descent methods -----------------------------------------------------
 
-def gradient_stepper(tau: float):
-    return lambda p, th, carry: (explicit_euler_step(p, th, tau), carry)
-
-
-def implicit_stepper(tau: float, tol: float = 1e-10):
-    return lambda p, th, carry: (implicit_euler_step(p, th, tau, tol=tol), carry)
+_MIRROR_MAPS = {"quadratic": quadratic_mirror_map,
+                "negative_entropy": negative_entropy_mirror_map}
 
 
-def preconditioned_stepper(field_h: PreconditionerField, tau: float):
-    return lambda p, th, carry: (preconditioned_step(p, field_h, th, tau), carry)
+def flow_step(method: str, tau: float, mirror_map: str = "quadratic"):
+    """The step map ``step(p, theta, carry) -> (theta, carry)`` of a descent method.
 
-
-def mirror_stepper(mmap: MirrorMap, tau: float):
-    return lambda p, th, carry: (mirror_descent_step(p, mmap, th, tau), carry)
-
-
-def bfgs_stepper(tau: float):
-    """Quasi-Newton stepper; its carry is (inverse Hessian, last point, its gradient).
-
-    Each flow starts from the identity and updates it with each secant pair.
+    ``gd`` is explicit Euler, ``gd_implicit`` the proximal step, ``newton``
+    preconditions by the Hessian, ``bfgs`` by an inverse-Hessian estimate
+    that each flow starts at the identity and carries as (estimate, last
+    point, its gradient), and ``mirror`` steps in the dual variable of
+    ``mirror_map``.
     """
+    if mirror_map not in _MIRROR_MAPS:
+        raise ValueError(f"unknown mirror map {mirror_map!r}")
+    mmap = _MIRROR_MAPS[mirror_map]()
 
-    def step(p: Potential, th: np.ndarray, carry):
+    def newton(p, th):
+        if p.hessian is None:
+            raise PreconditionerError(
+                f"potential {p.name!r} has no Hessian; Newton preconditioning unavailable")
+        return preconditioned_step(p, p.hessian(th), th, tau)
+
+    def bfgs(p, th, carry):
         g = p.grad(th)
         if carry is None:
             h_inv = np.eye(p.dim)
@@ -374,15 +344,26 @@ def bfgs_stepper(tau: float):
             h_inv = bfgs_update(h_inv, th - prev, g - prev_grad)
         return th - tau * h_inv @ g, (h_inv, th, g)
 
-    return step
+    moves = {"gd": lambda p, th: explicit_euler_step(p, th, tau),
+             "gd_implicit": lambda p, th: implicit_euler_step(p, th, tau),
+             "newton": newton,
+             "mirror": lambda p, th: mirror_descent_step(p, mmap, th, tau)}
+    if method == "bfgs":
+        return bfgs
+    if method not in moves:
+        raise ValueError(f"unknown descent method {method!r}")
+    move = moves[method]
+    return lambda p, th, carry: (move(p, th), carry)
 
 
-def run_flow(p: Potential, stepper, theta0, n_steps: int, tau: float) -> Trajectory:
-    """Drive a stepper for n_steps of size tau, recording the trajectory.
+def run_flow(p: Potential, step, theta0, n_steps: int, tau: float) -> Trajectory:
+    """Drive a step map for n_steps of size tau, recording the trajectory.
 
-    The stepper's carry starts as None and is threaded from step to step.
-    Stops early once |grad V| < 1e-12 so equilibria terminate; stepper
-    errors are re-raised with the failing step index in the message.
+    The step's carry starts as None and is threaded from step to step.
+    Stops early once |grad V| < 1e-12 so equilibria terminate; step errors
+    are re-raised with the failing step index in the message, and a state
+    that is not finite raises DivergenceError naming its step, before V is
+    evaluated there.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
@@ -398,11 +379,13 @@ def run_flow(p: Potential, stepper, theta0, n_steps: int, tau: float) -> Traject
             stopped_early = True
             break
         try:
-            th, carry = stepper(p, th, carry)
+            th, carry = step(p, th, carry)
         except Exception as exc:
             exc.args = (f"step {k}: {exc.args[0] if exc.args else exc}",) + exc.args[1:]
             raise
         th = np.asarray(th, dtype=float)
+        if not np.isfinite(th).all():
+            raise DivergenceError(step=k)
         times.append(k * tau)
         states.append(th.copy())
         energies.append(float(p.value(th)))

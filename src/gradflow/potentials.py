@@ -197,6 +197,15 @@ def _spd_inverse(cov):
     return inv_l.T @ inv_l
 
 
+def _precision(cov, what: str):
+    """``_spd_inverse(cov)``, refused when it overflows: ``cov`` is too small."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        prec = _spd_inverse(cov)
+    if not np.isfinite(prec).all():
+        raise ValueError(f"{what} is too small: its precision overflows")
+    return prec
+
+
 def _logsumexp(a, keepdims=False):
     """``log(sum(exp(a)))`` over the last axis, with the bits SciPy's
     ``special.logsumexp`` gives for real input.
@@ -241,11 +250,19 @@ def make_gaussian_posterior(prior: GaussianSpec, design, noise_cov, data):
     if not np.allclose(sn, sn.T, atol=1e-12):
         raise ValueError("noise covariance must be symmetric")
     try:
-        prec_noise = _spd_inverse(sn)
+        prec_noise = _precision(sn, "noise covariance")
     except np.linalg.LinAlgError as exc:
         raise ValueError("noise covariance must be positive definite") from exc
-    prec_prior = _spd_inverse(prior.covariance)
-    precision = a_mat.T @ prec_noise @ a_mat + prec_prior
+    prec_prior = _precision(prior.covariance, "prior covariance")
+    with np.errstate(over="ignore", invalid="ignore"):
+        data_precision = a_mat.T @ prec_noise @ a_mat
+        precision = data_precision + prec_prior
+    if not np.isfinite(data_precision).all():
+        raise ValueError("design is too large for the noise covariance: "
+                         "the data precision overflows")
+    if not np.isfinite(precision).all():
+        raise ValueError("posterior precision overflows: prior and data precisions "
+                         "are too large together")
     precision = 0.5 * (precision + precision.T)
     post_cov = np.linalg.inv(precision)
     post_cov = 0.5 * (post_cov + post_cov.T)

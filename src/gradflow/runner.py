@@ -26,13 +26,10 @@ from .artifacts import (read_density_csv, read_samples_csv, write_chain_stats,
 from .config import ExperimentConfig, config_to_dict, with_overrides
 from .density import (Grid1D, GridDensity, gibbs_density, histogram, kl_divergence,
                       l2_pi_inv_norm, normalize, tv_distance)
-from .errors import ConfigError, GradflowError
+from .errors import ConfigError, DivergenceError, GradflowError
 from .fpe import (FokkerPlanckSolver1D, FpeState, bdl_fpe_step, decay_report, evolve,
                   fpe_step, variance_mobility, weighted_fpe_step)
-from .optimize import (PreconditionerField, bfgs_stepper, gradient_stepper,
-                       implicit_stepper, mirror_stepper, negative_entropy_mirror_map,
-                       preconditioned_stepper, quadratic_mirror_map, run_flow,
-                       verify_rates)
+from .optimize import flow_step, run_flow, verify_rates
 # from_identifier is bound here only for perfbench/tracer.py, which traces it by this name
 from .potentials import from_identifier
 from .rng import RNG_LAYOUT, RngStream
@@ -109,24 +106,16 @@ def run_experiment(cfg: ExperimentConfig, out_root=None, seed_override=None,
 
 # --- deterministic flows ------------------------------------------------------
 
-def _make_stepper(cfg: ExperimentConfig, potential):
-    if cfg.method == "gd":
-        return gradient_stepper(cfg.tau)
-    if cfg.method == "gd_implicit":
-        return implicit_stepper(cfg.tau)
-    if cfg.method == "newton":
-        return preconditioned_stepper(PreconditionerField.hessian_of(potential), cfg.tau)
-    if cfg.method == "bfgs":
-        return bfgs_stepper(cfg.tau)
-    mmap = (quadratic_mirror_map() if cfg.mirror_map == "quadratic"
-            else negative_entropy_mirror_map())
-    return mirror_stepper(mmap, cfg.tau)
+def _run_flow_from(potential, step, cfg, i):
+    try:
+        return run_flow(potential, step, cfg.init[i], cfg.n_steps(), cfg.tau)
+    except DivergenceError as exc:
+        raise DivergenceError(step=exc.step, start=i) from None
 
 
 def _run_deterministic(cfg, potential):
-    stepper = _make_stepper(cfg, potential)
-    trajectories = [run_flow(potential, stepper, start, cfg.n_steps(), cfg.tau)
-                    for start in cfg.init]
+    step = flow_step(cfg.method, cfg.tau, cfg.mirror_map)
+    trajectories = [_run_flow_from(potential, step, cfg, i) for i in range(len(cfg.init))]
     products = {"trajectory": (write_trajectory_csv, trajectories.__getitem__),
                 "rates": (write_rates_report,
                           lambda i: verify_rates(trajectories[i], potential))}

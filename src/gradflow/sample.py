@@ -447,7 +447,7 @@ def run_sampler(method: str, p: Potential, init: Ensemble, tau: float,
     with contextlib.closing(draws):
         for local, k in enumerate(stream_steps, start=1):
             particles, carry, accepted = step(particles, carry, next(draws))
-            _check_finite(particles, k)
+            _check_finite(particles, k + 1)  # the step this state is labelled
             n_accepted += accepted
             if local in keep:
                 recorded.append(local)

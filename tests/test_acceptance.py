@@ -17,7 +17,7 @@ from gradflow.density import (Grid1D, histogram, kl_divergence, normalize,
                               tv_distance)
 from gradflow.fpe import (FokkerPlanckSolver1D, FpeState, bdl_fpe_step,
                           decay_report, evolve, fpe_step, weighted_fpe_step)
-from gradflow.optimize import gradient_stepper, run_flow, verify_rates
+from gradflow.optimize import flow_step, run_flow, verify_rates
 from gradflow.potentials import (GaussianSpec, make_double_well,
                                  make_gaussian_mixture, make_gaussian_posterior,
                                  make_quadratic)
@@ -43,7 +43,7 @@ def test_c01_double_well_basins():
     dw = make_double_well()
     finals = {}
     for start in (0.1, 0.5, 2.0, -0.5, -2.0):
-        traj = run_flow(dw, gradient_stepper(0.05), [start], 400, 0.05)
+        traj = run_flow(dw, flow_step("gd", 0.05), [start], 400, 0.05)
         finals[start] = traj.final_state[0]
     errs = [abs(finals[s] - 1.0) for s in (0.1, 0.5, 2.0)]
     errs += [abs(finals[s] + 1.0) for s in (-0.5, -2.0)]
@@ -57,7 +57,7 @@ def test_c02_discrete_linear_rate():
     p = make_quadratic([0.05, 1.0])
     tau = 1.0 / p.lipschitz
     theta0 = np.array([3.0, -2.0])
-    traj = run_flow(p, gradient_stepper(tau), theta0, 500, tau)
+    traj = run_flow(p, flow_step("gd", tau), theta0, 500, tau)
     rep = verify_rates(traj, p)
     margins = rep.details["bound_margins"]
     coeffs = np.array([0.05, 1.0])

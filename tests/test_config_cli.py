@@ -1094,6 +1094,16 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert main(["run", str(broken), "--out-root", str(tmp_path)]) == 3
     assert "error: non-finite state at step" in capsys.readouterr().err
 
+    # a descent flow that diverges is a runtime error too, and writes nothing
+    diverging = tmp_path / "diverging.yaml"
+    diverging.write_text("problem: double_well\nmethod: gd\ntau: 10.0\nsteps: 20\n"
+                         "init: [[0.5], [0.0]]\noutputs:\n"
+                         "  - {kind: trajectory, path: 'flow/t_{i}.csv'}\n")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["run", str(diverging), "--out-root", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == "error: non-finite state at step 6, start 0\n"
+    assert not (tmp_path / "flow").exists()
+
     failing = tmp_path / "failing.yaml"
     failing.write_text(TINY_ULA + (
         "assertions:\n"

@@ -1,16 +1,17 @@
-"""Descent steppers against closed forms; dissipation and rate reports."""
+"""Descent steps against closed forms; dissipation and rate reports."""
 
 import numpy as np
 import pytest
 
-from gradflow.errors import ConvergenceError, LineSearchError, PreconditionerError
-from gradflow.optimize import (PreconditionerField, Trajectory,
-                               backtracking_line_search, bfgs_stepper,
+from gradflow.config import DETERMINISTIC_METHODS
+from gradflow.errors import (ConvergenceError, DivergenceError, LineSearchError,
+                             PreconditionerError)
+from gradflow.optimize import (Trajectory, backtracking_line_search,
                                bfgs_update, bregman_divergence,
-                               explicit_euler_step, gradient_stepper,
+                               explicit_euler_step, flow_step,
                                implicit_euler_step,
                                mirror_descent_step, negative_entropy_mirror_map,
-                               preconditioned_step, preconditioned_stepper,
+                               preconditioned_step,
                                quadratic_mirror_map, run_flow, verify_rates)
 from gradflow.potentials import (Potential, make_double_well,
                                  make_gaussian_posterior, make_quadratic,
@@ -99,15 +100,14 @@ def test_implicit_euler_reports_failure_with_best_iterate():
 def test_preconditioned_identity_equals_explicit():
     p = make_quadratic([0.3, 0.9])
     theta = np.array([1.0, -2.0])
-    ident = PreconditionerField.identity(2)
-    assert np.array_equal(preconditioned_step(p, ident, theta, 0.2),
+    assert np.array_equal(preconditioned_step(p, np.eye(2), theta, 0.2),
                           explicit_euler_step(p, theta, 0.2))
 
 
 def test_newton_step_solves_quadratic_in_one_move():
     p = make_quadratic([0.05, 1.0])
-    field = PreconditionerField.hessian_of(p)
-    new = preconditioned_step(p, field, np.array([3.0, -2.0]), 1.0)
+    theta = np.array([3.0, -2.0])
+    new = preconditioned_step(p, p.hessian(theta), theta, 1.0)
     assert np.allclose(new, 0.0, atol=1e-14)
 
 
@@ -115,28 +115,27 @@ def test_preconditioner_scalar_rescaling():
     p = make_quadratic([0.4, 1.1])
     theta = np.array([1.3, 0.7])
     # c a power of two: floating-point scaling commutes exactly
-    scaled = PreconditionerField.constant(4.0 * np.eye(2))
-    assert np.array_equal(preconditioned_step(p, scaled, theta, 1.0),
+    assert np.array_equal(preconditioned_step(p, 4.0 * np.eye(2), theta, 1.0),
                           explicit_euler_step(p, theta, 0.25))
     # trajectory-level equivalence for a generic c
     c = 3.0
-    traj_h = run_flow(p, preconditioned_stepper(
-        PreconditionerField.constant(c * np.eye(2)), 0.9), theta, 25, 0.9)
-    traj_e = run_flow(p, gradient_stepper(0.9 / c), theta, 25, 0.9 / c)
+    def scaled_step(q, th, carry):
+        return preconditioned_step(q, c * np.eye(2), th, 0.9), carry
+    traj_h = run_flow(p, scaled_step, theta, 25, 0.9)
+    traj_e = run_flow(p, flow_step("gd", 0.9 / c), theta, 25, 0.9 / c)
     assert np.allclose(traj_h.states, traj_e.states, atol=1e-12)
 
 
 def test_preconditioner_spd_errors():
     p = make_quadratic([1.0])
-    bad = PreconditionerField.constant([[-1.0]])
     with pytest.raises(PreconditionerError):
-        preconditioned_step(p, bad, np.array([1.0]), 0.1)
-    asym = PreconditionerField(lambda t: np.array([[1.0, 0.5], [0.0, 1.0]]))
+        preconditioned_step(p, [[-1.0]], np.array([1.0]), 0.1)
+    asym = np.array([[1.0, 0.5], [0.0, 1.0]])
     with pytest.raises(PreconditionerError):
-        asym.at(np.zeros(2))
+        preconditioned_step(make_quadratic([1.0, 1.0]), asym, np.zeros(2), 0.1)
     no_hess = Potential(dim=1, value=lambda t: t[..., 0], grad=lambda t: t)
-    with pytest.raises(PreconditionerError):
-        PreconditionerField.hessian_of(no_hess)
+    with pytest.raises(PreconditionerError, match="step 1: .*no Hessian"):
+        run_flow(no_hess, flow_step("newton", 0.1), [1.0], 5, 0.1)
 
 
 # --- BFGS ---------------------------------------------------------------------------
@@ -170,17 +169,17 @@ def test_bfgs_update_skips_flat_curvature():
 
 def test_bfgs_flow_converges():
     p = make_quadratic([0.05, 1.0])
-    traj = run_flow(p, bfgs_stepper(1.0), np.array([4.0, -3.0]), 60, 1.0)
+    traj = run_flow(p, flow_step("bfgs", 1.0), np.array([4.0, -3.0]), 60, 1.0)
     assert np.linalg.norm(traj.final_state) < 1e-8
 
 
-def test_bfgs_stepper_reused_across_flows_matches_fresh_ones():
+def test_bfgs_flow_step_reused_across_flows_matches_fresh_ones():
     # the inverse-Hessian guess is carried through one flow, never into the next
     p = make_quadratic([0.05, 1.0])
-    shared = bfgs_stepper(0.5)
+    shared = flow_step("bfgs", 0.5)
     for start in ([4.0, -3.0], [-1.0, 2.0]):
         reused = run_flow(p, shared, start, 20, 0.5)
-        fresh = run_flow(p, bfgs_stepper(0.5), start, 20, 0.5)
+        fresh = run_flow(p, flow_step("bfgs", 0.5), start, 20, 0.5)
         assert np.array_equal(reused.states, fresh.states)
 
 
@@ -336,17 +335,17 @@ def test_line_search_shrinks_to_the_first_sufficient_decrease():
 def test_run_flow_double_well_basins():
     dw = make_double_well()
     for t0, target in ((0.5, 1.0), (-0.5, -1.0)):
-        traj = run_flow(dw, gradient_stepper(0.1), [t0], 200, 0.1)
+        traj = run_flow(dw, flow_step("gd", 0.1), [t0], 200, 0.1)
         assert abs(traj.final_state[0] - target) < 1e-6
     # exact unstable equilibrium: no perturbation is injected, iterate stays
-    still = run_flow(dw, gradient_stepper(0.1), [0.0], 200, 0.1)
+    still = run_flow(dw, flow_step("gd", 0.1), [0.0], 200, 0.1)
     assert still.final_state[0] == 0.0
     assert still.meta["stopped_early"]
 
 
 def test_run_flow_records_consistent_columns():
     p = make_quadratic([0.4, 0.9])
-    traj = run_flow(p, gradient_stepper(0.2), [1.0, -1.0], 30, 0.2)
+    traj = run_flow(p, flow_step("gd", 0.2), [1.0, -1.0], 30, 0.2)
     assert np.all(np.diff(traj.times) > 0)
     recomputed = np.array([p.value(s) for s in traj.states])
     assert np.allclose(traj.energies, recomputed, atol=1e-12)
@@ -361,6 +360,34 @@ def test_run_flow_attaches_step_index_to_errors():
         raise PreconditionerError("boom")
     with pytest.raises(PreconditionerError, match="step 1"):
         run_flow(p, explode, [1.0], 5, 0.1)
+
+
+def test_run_flow_stops_at_the_first_non_finite_state():
+    # gd at tau = 10 from 0.5 on the double well: step 5 reaches 2.9e110,
+    # and step 6, the trajectory's sixth row after the start, is -inf
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(DivergenceError, match="non-finite state at step 6$") as err:
+        run_flow(make_double_well(), flow_step("gd", 10.0), [0.5], 20, 10.0)
+    assert (err.value.step, err.value.particle, err.value.start) == (6, None, None)
+
+
+# --- the table of descent methods ---------------------------------------------------
+
+@pytest.mark.parametrize("mirror_map", ["quadratic", "negative_entropy"])
+@pytest.mark.parametrize("method", DETERMINISTIC_METHODS)
+def test_flow_step_covers_every_configurable_method(method, mirror_map):
+    p = make_quadratic([0.5, 1.0])
+    traj = run_flow(p, flow_step(method, 0.1, mirror_map), [1.0, 2.0], 3, 0.1)
+    assert len(traj.times) == 4 and traj.energies[-1] < traj.energies[0]
+
+
+@pytest.mark.parametrize("method,mirror_map,message", [
+    ("sgd", "quadratic", "unknown descent method 'sgd'"),
+    ("mirror", "entropy", "unknown mirror map 'entropy'"),
+])
+def test_flow_step_refuses_an_unknown_name(method, mirror_map, message):
+    with pytest.raises(ValueError, match=message):
+        flow_step(method, 0.1, mirror_map)
 
 
 # --- dissipation and rate bounds ----------------------------------------------------------
@@ -386,7 +413,7 @@ def test_descent_lemma_at_step_one_over_l(p):
 
 def test_verify_rates_exact_one_step_convergence():
     p = make_quadratic([0.5])  # alpha = L = 1, tau = 1 jumps to the minimum
-    traj = run_flow(p, gradient_stepper(1.0), [3.0], 5, 1.0)
+    traj = run_flow(p, flow_step("gd", 1.0), [3.0], 5, 1.0)
     report = verify_rates(traj, p)
     assert report.dissipation_violations == 0
     assert report.details["bound_applicable"]
@@ -396,7 +423,7 @@ def test_verify_rates_exact_one_step_convergence():
 def test_verify_rates_anisotropic_fitted_factor():
     p = make_quadratic([0.05, 1.0])
     tau = 1.0 / p.lipschitz
-    traj = run_flow(p, gradient_stepper(tau), [1.0, 1.0], 400, tau)
+    traj = run_flow(p, flow_step("gd", tau), [1.0, 1.0], 400, tau)
     report = verify_rates(traj, p)
     assert report.rate_bound_satisfied
     # fitted per-step decay factor must not beat the proven envelope
@@ -409,7 +436,7 @@ def test_verify_rates_anisotropic_fitted_factor():
 
 def test_verify_rates_constant_trajectory_and_missing_vstar():
     p = make_quadratic([0.5])
-    traj = run_flow(p, gradient_stepper(1.0), [0.0], 10, 1.0)
+    traj = run_flow(p, flow_step("gd", 1.0), [0.0], 10, 1.0)
     report = verify_rates(traj, p)
     assert report.dissipation_violations == 0
     anon = Potential(dim=1, value=lambda t: t[..., 0] ** 2, grad=lambda t: 2 * t)
@@ -419,7 +446,7 @@ def test_verify_rates_constant_trajectory_and_missing_vstar():
 
 def test_verify_rates_bound_not_applicable_off_step():
     p = make_quadratic([0.05, 1.0])
-    traj = run_flow(p, gradient_stepper(0.3), [1.0, 1.0], 50, 0.3)
+    traj = run_flow(p, flow_step("gd", 0.3), [1.0, 1.0], 50, 0.3)
     report = verify_rates(traj, p)
     assert report.rate_bound_satisfied is None
     assert not report.details["bound_applicable"]

@@ -1,5 +1,7 @@
 """Catalog potentials against finite-difference and closed-form oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
@@ -302,6 +304,14 @@ def test_from_identifier_grammar():
                 "gaussian_posterior:0,inf,1,1,2"):
         with pytest.raises(ValueError):
             from_identifier(bad)
+    # a precision that overflows is refused naming what overflowed, silently
+    for bad, match in (("gaussian_posterior:0,1,1,1e-320,2", "noise covariance is too small"),
+                       ("gaussian_posterior:0,1e-320,1,1,2", "prior covariance is too small"),
+                       ("gaussian_posterior:0,1,1e200,1,2", "design is too large")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=match):
+                from_identifier(bad)
 
 
 def test_moments_of_posterior_samples_shape():

@@ -340,7 +340,7 @@ def test_run_sampler_divergence_error_names_step_and_particle(method):
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(DivergenceError) as err:
         run_sampler(method, quartic, bad, 1.0, 10)
-    assert (err.value.step, err.value.particle) == (0, 0)
+    assert (err.value.step, err.value.particle) == (1, 0)
 
 
 def test_mala_rejects_proposals_whose_log_ratio_is_nan():
@@ -515,7 +515,7 @@ def test_draws_made_ahead_hold_under_rapid_thread_switches(monkeypatch):
     assert ahead.stats.n_accepted == inline.stats.n_accepted
 
 
-@pytest.mark.parametrize("method,step,particle", [("ula", 6, 2), ("ensemble", 4, 0)])
+@pytest.mark.parametrize("method,step,particle", [("ula", 7, 2), ("ensemble", 5, 0)])
 def test_a_divergence_drawn_ahead_is_the_inline_one_and_stops_the_helpers(
         monkeypatch, method, step, particle):
     ens = Ensemble(particles=np.array([[0.0], [0.5], [3.0], [-0.3]]), rng=RngStream(1))
