@@ -160,7 +160,7 @@ def histogram(samples, grid: Grid1D) -> GridDensity:
     """Bin counts over grid cells divided by (N dx).
 
     Samples outside the grid are excluded from the mass and counted in
-    ``meta['n_outside']``.
+    ``meta['n_outside']``, out of ``meta['n_samples']``.
     """
     s = np.asarray(samples, dtype=float).ravel()
     if s.size == 0:
@@ -168,7 +168,8 @@ def histogram(samples, grid: Grid1D) -> GridDensity:
     counts, _ = np.histogram(s, bins=grid.edges())
     n_outside = int(s.size - counts.sum())
     values = counts / (s.size * grid.dx)
-    return GridDensity(grid=grid, values=values, meta={"n_outside": n_outside})
+    return GridDensity(grid=grid, values=values,
+                       meta={"n_outside": n_outside, "n_samples": s.size})
 
 
 def kde(samples, bandwidth, eval_points) -> np.ndarray:

@@ -27,7 +27,8 @@ class LineSearchError(GradflowError):
 
 
 class DivergenceError(GradflowError):
-    """A sampler or descent-flow state became non-finite.
+    """A sampler or descent-flow state became non-finite, or a flow's V or
+    |grad V| overflowed at its state.
 
     Names the step as the run's artifacts label it and, when known, the
     sampler's particle or the flow's start (its index in ``init``).

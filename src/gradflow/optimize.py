@@ -5,7 +5,8 @@
 method keeps between steps (only BFGS keeps any).  ``run_flow`` starts
 each flow with ``carry = None``, threads it from step to step and records
 a :class:`Trajectory`, so one step map serves any number of flows; a
-state that turns non-finite raises :class:`DivergenceError`.
+state that turns non-finite, or whose V or |grad V| overflows, raises
+:class:`DivergenceError`.
 ``verify_rates`` checks the recorded energies against monotone
 dissipation and, when curvature constants are available, the geometric
 decay bound for step 1/L.
@@ -356,22 +357,33 @@ def flow_step(method: str, tau: float, mirror_map: str = "quadratic"):
     return lambda p, th, carry: (move(p, th), carry)
 
 
+def _measured(p: Potential, theta: np.ndarray, k: int):
+    """(V, |grad V|) at the flow's state after k steps.  A state that is not
+    finite, or whose V or |grad V| overflows, has diverged: DivergenceError
+    names step k, and V is never evaluated at a non-finite state."""
+    if np.isfinite(theta).all():
+        with np.errstate(over="ignore", invalid="ignore"):
+            energy = float(p.value(theta))
+            grad_norm = float(np.linalg.norm(p.grad(theta)))
+        if np.isfinite(energy) and np.isfinite(grad_norm):
+            return energy, grad_norm
+    raise DivergenceError(step=k)
+
+
 def run_flow(p: Potential, step, theta0, n_steps: int, tau: float) -> Trajectory:
     """Drive a step map for n_steps of size tau, recording the trajectory.
 
     The step's carry starts as None and is threaded from step to step.
     Stops early once |grad V| < 1e-12 so equilibria terminate; step errors
     are re-raised with the failing step index in the message, and a state
-    that is not finite raises DivergenceError naming its step, before V is
-    evaluated there.
+    that is not finite, or whose V or |grad V| overflows, raises
+    DivergenceError naming its step.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
     th = np.asarray(theta0, dtype=float).reshape(p.dim)
-    times = [0.0]
-    states = [th.copy()]
-    energies = [float(p.value(th))]
-    grad_norms = [float(np.linalg.norm(p.grad(th)))]
+    energy, grad_norm = _measured(p, th, 0)
+    times, states, energies, grad_norms = [0.0], [th.copy()], [energy], [grad_norm]
     stopped_early = False
     carry = None
     for k in range(1, n_steps + 1):
@@ -384,12 +396,11 @@ def run_flow(p: Potential, step, theta0, n_steps: int, tau: float) -> Trajectory
             exc.args = (f"step {k}: {exc.args[0] if exc.args else exc}",) + exc.args[1:]
             raise
         th = np.asarray(th, dtype=float)
-        if not np.isfinite(th).all():
-            raise DivergenceError(step=k)
+        energy, grad_norm = _measured(p, th, k)
         times.append(k * tau)
         states.append(th.copy())
-        energies.append(float(p.value(th)))
-        grad_norms.append(float(np.linalg.norm(p.grad(th))))
+        energies.append(energy)
+        grad_norms.append(grad_norm)
     return Trajectory(times=np.array(times), states=np.array(states),
                       energies=np.array(energies), grad_norms=np.array(grad_norms),
                       meta={"stopped_early": stopped_early})

@@ -174,6 +174,11 @@ def _metric_rows(t, dens, target):
         values["l2pinv"] = l2_pi_inv_norm(dens, target)
     except ValueError:
         values["l2pinv"] = float("nan")
+    n_outside = dens.meta.get("n_outside", 0)
+    if n_outside:
+        # that mass sits where the grid-normalized target is zero
+        values["tv"] += 0.5 * n_outside / dens.meta["n_samples"]
+        values["kl"] = values["l2pinv"] = float("inf")
     return [{"time": t, "metric": metric, "value": v} for metric, v in values.items()]
 
 

@@ -18,17 +18,17 @@ the particles).  ULA and MALA take their Gaussian rows already multiplied
 by sqrt(2 tau).  ``_transition`` is the one place that declares the
 layout, and ``run_sampler`` is a single loop that threads the carry
 through the transition and hands each step its block.  When a step draws
-at least ``_PREFETCH_MIN`` values, two helper threads draw the next two
-steps' blocks into a ring of buffers while the particles move; smaller
-steps draw their block in line.  A block is a function of its address
-alone, so output never depends on which path drew it.  A run's ``stats``
-describe the ensemble it ends with, whatever states it records on the way.
+at least ``_PREFETCH_MIN`` values, a thread pool of two helpers draws the
+next two steps' blocks into a ring of buffers while the particles move;
+smaller steps draw their block in line.  A block is a function of its
+address alone, so output never depends on which path drew it.  A run's
+``stats`` describe the ensemble it ends with, whatever states it records.
 """
 
 from __future__ import annotations
 
 import contextlib
-import threading
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -55,8 +55,8 @@ __all__ = [
 
 # A step that draws at least this many values has its blocks drawn ahead
 # on helper threads; below it, handing a block over costs more than the
-# draw saves.
-_PREFETCH_MIN = 2**16
+# draw saves (measured: the least power of two where ULA and MALA both win).
+_PREFETCH_MIN = 2**15
 # steps drawn ahead of the one that moves, one helper thread each
 _AHEAD = 2
 # an ensemble mobility whose least eigenvalue is at or below this is singular
@@ -119,7 +119,7 @@ class ChainStats:
 
 @dataclass
 class SampleRun:
-    """Thinned snapshots of an ensemble: times (n,), states (n, J, dim)."""
+    """The states a run records: times (n,), steps (n,), states (n, J, dim)."""
 
     times: np.ndarray
     steps: np.ndarray
@@ -346,52 +346,27 @@ def _drawn_inline(draw, block, steps):
 
 def _drawn_ahead(draw, ring, steps):
     """The slot of ``ring`` holding each stream step of ``steps`` in turn,
-    its draws made on helper threads into slot ``i % len(ring)`` for the
-    i-th step.  While the caller moves one step, the helpers draw the next
-    ``len(ring) - 1``; a slot is refilled only once the caller asks for the
-    next step, so it is done with that slot.  The helpers call ``draw``
-    alone, and closing the generator stops and joins them; a helper's
-    exception is raised to the caller."""
-    import queue  # here, so that commands that run no sampler do not load it
+    drawn into slot ``i % len(ring)`` for the i-th step by a pool of
+    ``len(ring) - 1`` helper threads, which draw the next steps while the
+    caller moves one.  A slot is refilled only once the caller asks for the
+    next step, so it is done with that slot.  A helper's exception is
+    raised to the caller, and closing the generator joins the helpers."""
+    # here, so that commands that run no sampler do not load it
+    from concurrent.futures import ThreadPoolExecutor
 
     n = len(ring)
-    done = [threading.Event() for _ in range(n)]
-    failed = [None] * n
-    tasks = queue.SimpleQueue()
+    with ThreadPoolExecutor(n - 1) as helpers:
+        def submit(i):
+            return helpers.submit(draw, steps[i], ring[i % n])
 
-    def serve():
-        while (task := tasks.get()) is not None:
-            i, slot = task
-            try:
-                draw(steps[i], ring[slot])
-            except BaseException as exc:  # raised again on the caller's thread
-                failed[slot] = exc
-            done[slot].set()
-
-    def submit(i):
-        if i < len(steps):
-            done[i % n].clear()
-            tasks.put((i, i % n))
-
-    helpers = [threading.Thread(target=serve, daemon=True) for _ in range(n - 1)]
-    for helper in helpers:
-        helper.start()
-    try:
-        for i in range(n - 1):
-            submit(i)
+        pending = deque(map(submit, range(min(n - 1, len(steps)))))
         for i in range(len(steps)):
-            # the previous step's slot is free now
-            submit(i + n - 1)
-            slot = i % n
-            done[slot].wait()
-            if failed[slot] is not None:
-                raise failed[slot]
-            yield ring[slot]
-    finally:
-        for _ in helpers:
-            tasks.put(None)
-        for helper in helpers:
-            helper.join()
+            drawn = pending.popleft()
+            # the caller has asked for step i, so step i - 1's slot is free
+            if i + n - 1 < len(steps):
+                pending.append(submit(i + n - 1))
+            drawn.result()
+            yield ring[i % n]
 
 
 def _check_finite(particles: np.ndarray, step: int):

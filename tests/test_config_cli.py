@@ -784,6 +784,35 @@ def test_an_assertion_on_an_undefined_metric_fails(tmp_path, capsys, assertion, 
     assert "0.01,l2pinv,nan" in (tmp_path / "m.csv").read_text()
 
 
+# every particle starts near 10, outside the grid, and stays there
+OFF_GRID = """\
+problem: double_well
+method: ula
+tau: 1.0e-6
+steps: 1
+seed: 1
+particles: 1000
+init: {kind: gaussian, mean: [10.0], var: 0.01}
+grid: {lo: -3.0, hi: 3.0, n: 60}
+outputs:
+  - {kind: metrics, path: m.csv}
+assertions:
+  - {check: metric_max, metric: kl, time: 1.0e-6, max: 1.0e-9}
+"""
+
+
+def test_mass_outside_the_grid_is_not_read_as_agreement(tmp_path, capsys):
+    # the grid-normalized target is zero where the particles are: KL and
+    # the 1/pi-weighted norm are infinite, and TV counts their whole mass
+    cfg_path = tmp_path / "exp.yaml"
+    cfg_path.write_text(OFF_GRID)
+    assert main(["run", str(cfg_path), "--out-root", str(tmp_path)]) == 4
+    assert "assertion failed" in capsys.readouterr().err
+    rows = (tmp_path / "m.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1:] for row in rows] == [["tv", "1"], ["kl", "inf"],
+                                                    ["l2pinv", "inf"]]
+
+
 def test_a_config_built_by_hand_is_refused_before_any_work(tmp_path):
     # only parse_config builds the potential a run uses
     cfg = ExperimentConfig(problem="double_well", method="gd", tau=0.05, steps=3,
@@ -1101,7 +1130,7 @@ def test_cli_exit_codes(tmp_path, capsys):
                          "  - {kind: trajectory, path: 'flow/t_{i}.csv'}\n")
     with np.errstate(over="ignore", invalid="ignore"):
         assert main(["run", str(diverging), "--out-root", str(tmp_path)]) == 3
-    assert capsys.readouterr().err == "error: non-finite state at step 6, start 0\n"
+    assert capsys.readouterr().err == "error: non-finite state at step 5, start 0\n"
     assert not (tmp_path / "flow").exists()
 
     failing = tmp_path / "failing.yaml"

@@ -1,8 +1,9 @@
-"""No command loads scipy: gradflow runs on numpy and PyYAML alone.
+"""No command loads scipy: gradflow runs on numpy and PyYAML alone.  Nor
+does setup load the thread pool that draws large sampler steps ahead.
 
-The check runs in a fresh interpreter with ``PYTHONPATH=src`` that cannot
-import scipy, because this test process has scipy (a test dependency)
-loaded already.
+The checks run in fresh interpreters with ``PYTHONPATH=src``, because this
+test process has scipy (a test dependency) loaded already and may have the
+pool; the scipy check's interpreter cannot import scipy.
 """
 
 import json
@@ -142,6 +143,28 @@ def test_no_command_loads_scipy(tmp_path):
     for name, text in RUNS.items():
         for _, path, _ in parse_config(text).files():
             assert (tmp_path / name / path).exists(), (name, path)
+
+
+def test_setup_and_small_sampler_runs_load_no_thread_pool(tmp_path):
+    # the pool that draws sampler steps ahead is imported only by a run whose
+    # steps draw enough values to start it
+    (tmp_path / "ula.yaml").write_text(ULA_RUN)
+    commands = [["validate", str(ROOT / "recipes" / name)]
+                for name in ("fig2_basins.yaml", "fig3_langevin_histograms.yaml")]
+    commands.append(["run", str(tmp_path / "ula.yaml"), "--out-root", str(tmp_path)])
+    code = ("import json, sys\n"
+            "from gradflow.cli import main\n"
+            f"codes = [main(args) for args in {commands!r}]\n"
+            "print(json.dumps([codes, sorted(k for k in sys.modules\n"
+            "                                if k == 'queue' or k.startswith('concurrent'))]))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    codes, pool_modules = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0], proc.stderr
+    # ULA_RUN's steps draw 200 values each
+    assert 200 < sample._PREFETCH_MIN and pool_modules == []
 
 
 def test_sample_and_rng_bind_one_ndtri():

@@ -1,5 +1,7 @@
 """Descent steps against closed forms; dissipation and rate reports."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -364,11 +366,32 @@ def test_run_flow_attaches_step_index_to_errors():
 
 def test_run_flow_stops_at_the_first_non_finite_state():
     # gd at tau = 10 from 0.5 on the double well: step 5 reaches 2.9e110,
-    # and step 6, the trajectory's sixth row after the start, is -inf
+    # where V overflows, so the flow stops there, before step 6's -inf
     with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(DivergenceError, match="non-finite state at step 6$") as err:
+            pytest.raises(DivergenceError, match="non-finite state at step 5$") as err:
         run_flow(make_double_well(), flow_step("gd", 10.0), [0.5], 20, 10.0)
-    assert (err.value.step, err.value.particle, err.value.start) == (6, None, None)
+    assert (err.value.step, err.value.particle, err.value.start) == (5, None, None)
+
+
+# V = 0 everywhere and grad V = 1e154 theta: step 1 from (0.5, 0.5) lands
+# near -5e153 (1, 1), whose gradient entries are finite and its norm is not
+CONSTANT_WITH_STEEP_GRAD = Potential(dim=2, value=lambda t: np.zeros(np.shape(t)[:-1]),
+                                     grad=lambda t: 1e154 * np.asarray(t))
+
+
+@pytest.mark.parametrize("p,tau,theta0,n_steps,step", [
+    (make_double_well(), 10.0, [0.5], 5, 5),
+    (CONSTANT_WITH_STEEP_GRAD, 1.0, [0.5, 0.5], 3, 1),
+], ids=["energy", "gradient-norm"])
+def test_run_flow_stops_where_v_or_its_gradient_norm_overflows(p, tau, theta0, n_steps,
+                                                               step):
+    # the state is finite, but V or |grad V| there is not: the flow has
+    # diverged, and says so without a numpy overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as err:
+            run_flow(p, flow_step("gd", tau), theta0, n_steps, tau)
+    assert err.value.step == step
 
 
 # --- the table of descent methods ---------------------------------------------------
